@@ -66,11 +66,10 @@ from .boundary import (
 )
 from .permq import (
     LevelPerm,
-    PermChain,
+    PivotBasis,
     SubgroupDesc,
     branch_pair_check,
     chain_from,
-    closure_order,
     density_check,
     derived_chain,
     group_chain,

@@ -81,12 +81,6 @@ def ray_str(r: Ray) -> str:
     return sep.join(str(d) for d in r.pre) + "(" + sep.join(str(d) for d in r.per) + ")"
 
 
-def ray_equal(r1: Ray, r2: Ray) -> bool:
-    """Rays constructed by make_ray / act_ray are canonical, so this is
-    structural equality."""
-    return r1 == r2
-
-
 def all_ones(spec: GroupSpec) -> Ray:
     if spec.p < 2:
         raise StructureError("invalid spec")

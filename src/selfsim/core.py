@@ -301,19 +301,6 @@ def make_spec(p: int, coeffs: Sequence[int]) -> GroupSpec:
     return GroupSpec(p, coeffs)
 
 
-def rho_apply(spec: GroupSpec, v: BVec) -> BVec:
-    """Apply the companion matrix to a vector of B."""
-    code = spec.code_of(v.reduced(spec.p).coords)
-    return BVec(spec.coords_of(spec.rho_code[code]))
-
-
-def omega_apply(spec: GroupSpec, v: BVec) -> int:
-    """The a-exponent contributed by v: its last coordinate mod p."""
-    if len(v.coords) != spec.m:
-        raise ValueError(f"expected {spec.m} coordinates, got {len(v.coords)}")
-    return v.coords[-1] % spec.p
-
-
 def subspace_Bi(spec: GroupSpec, i: int) -> Subspace:
     """The subspace rho^i(ker omega); dimension m - 1 for every integer i."""
     p, m = spec.p, spec.m

@@ -2,11 +2,15 @@
 
 The image of the group on tree level n is a subgroup of Sym(p^n) (vertices
 in lexicographic = numeric order).  This module evaluates generators into
-level permutations with a vectorized transducer, then runs a deterministic
-Schreier-Sims stabilizer chain over the natural base 0, 1, ..., N-1 to get
-exact orders and membership.  Kernels of prefix actions (level stabilizers,
-rigid stabilizers) are read off as chain tails after reordering the domain
-so the points to be fixed come first.
+level permutations with a vectorized transducer.  Every level image lies in
+the n-fold wreath power of Z/p, so its elements are read as label vectors:
+one cyclic child shift per tree vertex.  A single exact engine,
+`tree_pivot_basis`, reduces those vectors to a triangular basis keyed by
+vertices (an induced polycyclic sequence along the vertex series of the
+wreath power).  The resulting `PivotBasis` gives the order, membership by
+reduction, and kernels of prefix actions as basis tails: a level
+stabilizer is the tail from the first vertex of that depth, a rigid
+stabilizer the tail of a basis built with the outside vertices first.
 
 Permutations are numpy int64 arrays `arr` with arr[i] = image of i; as
 functions they compose by fancy indexing: (f o g)[i] = f[g[i]].
@@ -14,16 +18,13 @@ functions they compose by fancy indexing: (f o g)[i] = f[g[i]].
 
 from __future__ import annotations
 
-import math
-import random
-from bisect import insort
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from collections import OrderedDict, deque
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import GroupSpec, subspace_Bi
+from .core import ENUMERATION_CAP, GroupSpec, subspace_Bi
 from .errors import (
     DegenerateCase,
     LevelMismatch,
@@ -38,8 +39,6 @@ from .elements import (
     gen_a,
     generating_set,
 )
-
-ENUMERATION_CAP = 1 << 20
 
 
 class LevelPerm:
@@ -117,10 +116,6 @@ def level_perm(x: Element, n: int) -> LevelPerm:
     return LevelPerm(n, V)
 
 
-# ---------------------------------------------------------------------------
-# stabilizer chains
-
-
 @dataclass
 class SubgroupDesc:
     """Named generating set; if normal_closure is set the subgroup is the
@@ -141,360 +136,8 @@ class SubgroupDesc:
             raise StructureError("generators do not match the declared spec")
 
 
-class _Level:
-    __slots__ = (
-        "point",
-        "transversal",
-        "inv_transversal",
-        "orbit",
-        "gen_idxs",
-        "pending",
-        "checks",
-    )
-
-    def __init__(self, point: int, identity: np.ndarray):
-        self.point = point
-        self.transversal: dict[int, np.ndarray] = {point: identity}
-        self.inv_transversal: dict[int, np.ndarray] = {point: identity}
-        self.orbit: list[int] = [point]
-        self.gen_idxs: list[int] = []
-        self.pending: deque[tuple[int, int]] = deque()
-        self.checks: deque[tuple[int, int]] = deque()
-
-
-class PermChain:
-    """Deterministic stabilizer chain with the natural base 0..N-1.
-
-    Level k (materialized only when some strong generator moves k while
-    fixing everything below) holds the fundamental orbit of point k under
-    the strong generators whose first moved point is >= k, together with a
-    transversal.  Sifting strips an element level by level; the element is
-    in the group iff the residue is the identity.
-    """
-
-    def __init__(
-        self,
-        degree: int,
-        n: Optional[int] = None,
-        p: Optional[int] = None,
-        target_order: Optional[int] = None,
-    ):
-        self.degree = degree
-        self.n = n
-        self.p = p
-        self.identity = np.arange(degree, dtype=np.int64)
-        self.strong_gens: list[np.ndarray] = []
-        self.fmp: list[int] = []
-        self.levels: dict[int, _Level] = {}
-        self.target_order = target_order
-        self._order_acc = 1
-        self._complete = target_order == 1
-        self._level_keys: list[int] = []
-        self._rng = random.Random(0x5EED)
-        self._mix: Optional[np.ndarray] = None
-
-    # -- queries ------------------------------------------------------------
-
-    def _first_moved(self, arr: np.ndarray) -> int:
-        diff = np.nonzero(arr != self.identity)[0]
-        return -1 if diff.size == 0 else int(diff[0])
-
-    def sift(self, arr: np.ndarray) -> Optional[np.ndarray]:
-        g = arr
-        iden = self.identity
-        levels = self.levels
-        low = 0
-        degree = self.degree
-        while True:
-            # The first moved point only increases along the walk, so each
-            # scan starts where the previous one left off.
-            seg = g[low:] != iden[low:]
-            idx = int(seg.argmax())
-            if not seg[idx]:
-                return None
-            v = low + idx
-            lvl = levels.get(v)
-            if lvl is None:
-                return g
-            u_inv = lvl.inv_transversal.get(int(g[v]))
-            if u_inv is None:
-                return g
-            g = u_inv[g]
-            low = v + 1
-            if low >= degree:
-                return None
-
-    def member(self, perm: Union[LevelPerm, np.ndarray]) -> bool:
-        if isinstance(perm, LevelPerm):
-            if self.n is not None and perm.n != self.n:
-                raise LevelMismatch(f"chain level {self.n}, permutation level {perm.n}")
-            arr = perm.images
-        else:
-            arr = np.asarray(perm, dtype=np.int64)
-        if len(arr) != self.degree:
-            raise LevelMismatch("degree mismatch")
-        return self.sift(arr) is None
-
-    @property
-    def order(self) -> int:
-        return math.prod(len(lvl.orbit) for lvl in self.levels.values())
-
-    # -- construction -------------------------------------------------------
-
-    def insert(self, arr: np.ndarray) -> bool:
-        """Sift; if a residue is left, install it and re-close the chain.
-        Returns whether the group grew."""
-        grew = self._feed(np.asarray(arr, dtype=np.int64))
-        if not self._complete:
-            self._process()
-        return grew
-
-    def _feed(self, arr: np.ndarray) -> bool:
-        """Install the element's sift residue and extend orbits, leaving
-        the Schreier closure for later; bulk loading feeds all known
-        material first so the closure hunt starts from the richest chain."""
-        r = self.sift(arr)
-        if r is None:
-            return False
-        if self._complete:
-            raise StructureError(
-                "insert would grow a chain past its certified order"
-            )
-        self._install(r)
-        self._extend_orbits()
-        if self._complete:
-            self._clear_queues()
-        return True
-
-    def _install(self, r: np.ndarray) -> None:
-        v = self._first_moved(r)
-        idx = len(self.strong_gens)
-        self.strong_gens.append(r)
-        self.fmp.append(v)
-        created = v not in self.levels
-        if created:
-            lvl = _Level(v, self.identity)
-            lvl.gen_idxs = [i for i, f in enumerate(self.fmp) if f >= v]
-            for i in lvl.gen_idxs:
-                lvl.pending.append((v, i))
-            self.levels[v] = lvl
-            insort(self._level_keys, v)
-        for w in self._level_keys:
-            if w > v or (created and w == v):
-                continue
-            lvl = self.levels[w]
-            lvl.gen_idxs.append(idx)
-            for pt in list(lvl.orbit):
-                lvl.pending.append((pt, idx))
-
-    def _clear_queues(self) -> None:
-        for lvl in self.levels.values():
-            lvl.pending.clear()
-            lvl.checks.clear()
-
-    def _extend_orbits(self) -> None:
-        """Drain the unexplored (point, generator) pairs of every level.
-        Pairs that land on a new point grow the orbit and transversal;
-        pairs that land inside the orbit are parked for Schreier checking.
-        No sifting happens here, so the orbit-size product reaches a given
-        target with as little work as possible."""
-        for v in reversed(self._level_keys):
-            lvl = self.levels[v]
-            transversal = lvl.transversal
-            pending = lvl.pending
-            while pending:
-                pt, gi = pending.popleft()
-                g = self.strong_gens[gi]
-                img = int(g[pt])
-                if img in transversal:
-                    lvl.checks.append((pt, gi))
-                    continue
-                t = g[transversal[pt]]
-                transversal[img] = t
-                lvl.inv_transversal[img] = invert_perm(t)
-                k = len(lvl.orbit)
-                lvl.orbit.append(img)
-                self._order_acc = self._order_acc // k * (k + 1)
-                if self._order_acc == self.target_order:
-                    self._complete = True
-                    return
-                for gj in lvl.gen_idxs:
-                    pending.append((img, gj))
-
-    def _random_candidate(self, length: int) -> np.ndarray:
-        """Pseudo-random element of the current group: a running product
-        that keeps absorbing randomly chosen strong generators and
-        transversal representatives, so successive draws are ever longer
-        words and mix through the group."""
-        rng = self._rng
-        u = self.strong_gens[rng.randrange(len(self.strong_gens))]
-        for _ in range(length):
-            lvl = self.levels[self._level_keys[rng.randrange(len(self._level_keys))]]
-            pt = lvl.orbit[rng.randrange(len(lvl.orbit))]
-            u = u[lvl.transversal[pt]]
-        self._mix = u if self._mix is None else self._mix[u]
-        return self._mix
-
-    def _process(self) -> None:
-        """Close the chain: alternate orbit extension sweeps with a hunt
-        for missing strong generators.
-
-        With a target order, the hunt sifts seeded-random products of the
-        material already in the chain; any residue is a missing generator,
-        and the orbit-size product reaching the target certifies
-        completeness, at which point the parked Schreier pairs are dropped
-        (each would sift to identity in a complete chain).  The systematic
-        Schreier checks remain as a fallback so that progress never
-        depends on the random draws, and they are the sole mechanism when
-        no target is known, in which case draining them is what proves the
-        chain complete."""
-        while True:
-            self._extend_orbits()
-            if self._complete:
-                self._clear_queues()
-                return
-            if self.target_order is not None and self.strong_gens:
-                found = False
-                for attempt in range(12):
-                    r = self.sift(self._random_candidate(2 + attempt % 3))
-                    if r is not None:
-                        self._install(r)
-                        found = True
-                        break
-                if found:
-                    continue
-            installed = False
-            for v in reversed(self._level_keys):
-                lvl = self.levels[v]
-                checks = lvl.checks
-                while checks:
-                    pt, gi = checks.popleft()
-                    g = self.strong_gens[gi]
-                    img = int(g[pt])
-                    u_img = lvl.transversal[img]
-                    t = g[lvl.transversal[pt]]
-                    if np.array_equal(t, u_img):
-                        continue
-                    r = self.sift(lvl.inv_transversal[img][t])
-                    if r is not None:
-                        self._install(r)
-                        installed = True
-                        break
-                if installed:
-                    break
-            if not installed:
-                return
-
-
-def build_chain(
-    arrays: Sequence[np.ndarray],
-    degree: int,
-    n: Optional[int] = None,
-    p: Optional[int] = None,
-    target_order: Optional[int] = None,
-) -> PermChain:
-    chain = PermChain(degree, n, p, target_order)
-    for arr in arrays:
-        if chain._complete:
-            break
-        chain._feed(np.asarray(arr, dtype=np.int64))
-    if not chain._complete:
-        chain._process()
-    return chain
-
-
 # ---------------------------------------------------------------------------
-# group-level constructions
-
-
-def group_desc(spec: GroupSpec) -> SubgroupDesc:
-    return SubgroupDesc("G", generating_set(spec), False, spec)
-
-
-_g_chain_cache: dict[tuple[GroupSpec, int], PermChain] = {}
-
-
-def group_chain(spec: GroupSpec, n: int) -> PermChain:
-    """Chain for the full level quotient, cached per (spec, n)."""
-    key = (spec, n)
-    found = _g_chain_cache.get(key)
-    if found is None:
-        found = chain_from(group_desc(spec), n)
-        _g_chain_cache[key] = found
-    return found
-
-
-def chain_from(desc: SubgroupDesc, n: int) -> PermChain:
-    """Chain of the level-n image of the described subgroup.
-
-    Normal closures are computed inside Sym(p^n): the generator images are
-    closed under conjugation by the level images of the whole group's
-    generators until membership stabilizes.  This equals the image of the
-    symbolic normal closure because taking level images is a homomorphism.
-    """
-    spec = desc.spec
-    degree = spec.p**n
-    if degree > ENUMERATION_CAP:
-        raise LevelTooLarge(f"p^n = {degree} exceeds the cap {ENUMERATION_CAP}")
-    gen_arrays = [level_perm(g, n).images for g in desc.generators]
-    if not desc.normal_closure:
-        target, seeds = tree_pivot_basis(gen_arrays, spec.p, n)
-        chain = PermChain(degree, n, spec.p, target)
-        for arr in gen_arrays + seeds:
-            if chain._complete:
-                break
-            chain._feed(arr)
-        if not chain._complete:
-            chain._process()
-        if chain.order != target:
-            raise StructureError("chain closed below its certified order")
-        return chain
-    ambient = [level_perm(g, n).images for g in generating_set(spec)]
-    target, seeds = tree_pivot_basis(gen_arrays, spec.p, n, conj_arrays=ambient)
-    chain = PermChain(degree, n, spec.p, target)
-    ambient_inv = [invert_perm(t) for t in ambient]
-    work: deque[np.ndarray] = deque(gen_arrays)
-    for arr in gen_arrays + seeds:
-        if chain._complete:
-            break
-        chain._feed(arr)
-    if not chain._complete:
-        chain._process()
-    while work and not chain._complete:
-        s = work.popleft()
-        for t, t_inv in zip(ambient, ambient_inv):
-            c = t_inv[s[t]]
-            if chain.insert(c):
-                work.append(c)
-    if chain.order != target:
-        raise StructureError("chain closed below its certified order")
-    return chain
-
-
-def closure_order(perms: Sequence[LevelPerm]) -> int:
-    """Brute-force product closure cardinality; the independent oracle for
-    chain orders at small degree."""
-    if not perms:
-        return 1
-    gens = [tuple(int(v) for v in perm.images) for perm in perms]
-    degree = len(gens[0])
-    ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in gens:
-                h = tuple(f[g[i]] for i in range(degree))
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return len(seen)
-
-
-# ---------------------------------------------------------------------------
-# exact orders from leading block shifts
+# label vectors: the wreath-power view of a level permutation
 
 
 def _assert_cyclic_blocks(arr: np.ndarray, p: int, n: int) -> None:
@@ -515,30 +158,133 @@ def _assert_cyclic_blocks(arr: np.ndarray, p: int, n: int) -> None:
             raise StructureError("children are not permuted by a cyclic shift")
 
 
-def _label_tables(p: int, n: int):
-    """Breadth-first vertex offsets per depth and the leaf start of each
-    vertex's block, used to translate leaf permutations into per-vertex
-    child-shift labels."""
-    offsets = [0]
-    for d in range(n):
-        offsets.append(offsets[-1] + p**d)
-    starts = [np.arange(p**d, dtype=np.int64) * p ** (n - d) for d in range(n)]
-    return offsets, starts
+def _depth_start(p: int, d: int) -> int:
+    """Breadth-first index of the first vertex at depth d; for d = n it is
+    the number of vertices that carry a label."""
+    return (p**d - 1) // (p - 1)
 
 
-def _leaf_to_labels(arr: np.ndarray, p: int, n: int, offsets, starts):
+def _leaf_to_labels(
+    arr: np.ndarray, p: int, n: int, rank: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Label-vector view of a tree-respecting leaf permutation: the cyclic
     shift it applies to each vertex's children and the induced permutation
-    of the vertices themselves, both indexed breadth-first."""
-    lv = np.empty(offsets[n], dtype=np.int16)
-    vp = np.empty(offsets[n], dtype=np.int64)
+    of the vertices themselves.  Vertices are indexed breadth-first, or by
+    position in a vertex order when `rank` (the position of each
+    breadth-first vertex) is given."""
+    V = _depth_start(p, n)
+    lv = np.empty(V, dtype=np.int16)
+    vp = np.empty(V, dtype=np.int64)
     for d in range(n):
         bs = p ** (n - d)
-        img = arr[starts[d]]
-        sl = slice(offsets[d], offsets[d + 1])
-        vp[sl] = offsets[d] + img // bs
+        off = _depth_start(p, d)
+        img = arr[np.arange(p**d, dtype=np.int64) * bs]
+        sl = slice(off, off + p**d)
+        vp[sl] = off + img // bs
         lv[sl] = (img % bs) // (bs // p)
-    return lv, vp
+    if rank is None:
+        return lv, vp
+    order = invert_perm(rank)
+    return lv[order], rank[vp[order]]
+
+
+def _labels_to_leaf(
+    lv: np.ndarray, p: int, n: int, rank: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The leaf permutation with the given child shifts (the inverse of
+    _leaf_to_labels): each leaf digit moves by the shift at its ancestor."""
+    if rank is not None:
+        lv = lv[rank]
+    leaves = np.arange(p**n, dtype=np.int64)
+    out = np.zeros_like(leaves)
+    for d in range(n):
+        step = p ** (n - 1 - d)
+        shift = lv[_depth_start(p, d) + leaves // (step * p)]
+        out += ((leaves // step + shift) % p) * step
+    return out
+
+
+def _compose(l1, v1, l2, v2, p: int):
+    """Label-vector product "first apply (l2, v2)": labels add at the
+    image vertex."""
+    if p == 2:
+        return l1[v2] ^ l2, v1[v2]
+    return (l1[v2] + l2) % p, v1[v2]
+
+
+def _invert_labels(lv, vp, p: int):
+    vpi = invert_perm(vp)
+    return (-lv[vpi]) % p, vpi
+
+
+# ---------------------------------------------------------------------------
+# the pivot basis
+
+
+class PivotBasis(NamedTuple):
+    """Triangular basis of a subgroup of the n-fold wreath power of Z/p.
+
+    Row i is an element whose labels vanish before position keys[i] and
+    equal 1 there (positions are breadth-first unless `rank` reorders the
+    vertices).  Every element of the subgroup is a product of powers of the
+    rows in key order, so the order is p ** (number of rows), and the rows
+    from any position on generate the elements whose labels vanish before
+    it.
+    """
+
+    order: int
+    p: int
+    n: int
+    keys: np.ndarray
+    labels: np.ndarray
+    verts: np.ndarray
+    rank: Optional[np.ndarray] = None
+
+    def pivots(self) -> list[np.ndarray]:
+        """The basis elements as leaf permutations."""
+        return [_labels_to_leaf(lv, self.p, self.n, self.rank) for lv in self.labels]
+
+    def tail(self, start: int) -> "PivotBasis":
+        """Basis of the subgroup of elements whose labels vanish at every
+        position before `start`."""
+        i = int(np.searchsorted(self.keys, start))
+        return self._replace(
+            order=self.p ** (len(self.keys) - i),
+            keys=self.keys[i:],
+            labels=self.labels[i:],
+            verts=self.verts[i:],
+        )
+
+    def member(self, perm: Union[LevelPerm, np.ndarray]) -> bool:
+        """Exact membership: strip the leading label with a row power until
+        nothing is left (member) or no row has that key (not a member).  A
+        permutation outside the wreath power is not a member."""
+        p, n = self.p, self.n
+        if isinstance(perm, LevelPerm):
+            if perm.n != n:
+                raise LevelMismatch(f"basis level {n}, permutation level {perm.n}")
+            arr = perm.images
+        else:
+            arr = np.asarray(perm, dtype=np.int64)
+        if len(arr) != p**n:
+            raise LevelMismatch("degree mismatch")
+        try:
+            _assert_cyclic_blocks(arr, p, n)
+        except StructureError:
+            return False
+        lv, vp = _leaf_to_labels(arr, p, n, self.rank)
+        low = 0
+        while True:
+            nz = np.flatnonzero(lv[low:])
+            if nz.size == 0:
+                return True
+            idx = low + int(nz[0])
+            r = int(np.searchsorted(self.keys, idx))
+            if r == len(self.keys) or self.keys[r] != idx:
+                return False
+            for _ in range(p - int(lv[idx])):
+                lv, vp = _compose(lv, vp, self.labels[r], self.verts[r], p)
+            low = idx + 1
 
 
 def tree_pivot_basis(
@@ -546,50 +292,43 @@ def tree_pivot_basis(
     p: int,
     n: int,
     conj_arrays: Optional[Sequence[np.ndarray]] = None,
-) -> tuple[int, list[np.ndarray]]:
-    """Exact order and a triangular basis of the permutation group the
-    arrays generate, assuming they respect the p-ary tree structure
-    (checked).  With `conj_arrays` the subgroup is first closed under
-    conjugation by those permutations, so the result describes a normal
-    closure.
+    _rank: Optional[np.ndarray] = None,
+) -> PivotBasis:
+    """Pivot basis of the permutation group the arrays generate, assuming
+    they respect the p-ary tree structure (checked).  With `conj_arrays`
+    the subgroup is first closed under conjugation by those permutations,
+    so the result describes a normal closure.  `_rank` gives the position
+    of each breadth-first vertex in another vertex order; it must list
+    every vertex after its ancestors.
 
-    The basis is keyed by tree vertices: each element's leading shift
-    (first vertex moved, breadth-first) sits at a distinct vertex and is
-    normalized to 1.  Incoming material is reduced by multiplying away
-    leading shifts with basis powers; whatever survives becomes a new
-    basis element and is closed against p-th powers, commutators with the
-    existing basis, and the conjugators.  Once the work queue drains, the
-    subgroups generated by basis tails form a chain with quotients of
-    order exactly p (the tail elements all fix the next pivot vertex's
-    shift), so the group order is p ** len(basis).
+    Each element's leading shift (first vertex with a nonzero label)
+    sits at a distinct vertex and is normalized to 1.  Incoming material
+    is reduced by multiplying away leading shifts with basis powers;
+    whatever survives becomes a new basis element and is closed against
+    p-th powers, commutators with the existing basis, and the conjugators.
+    Once the work queue drains, the subgroups generated by basis tails
+    form a chain with quotients of order exactly p (the tail elements all
+    fix the next pivot vertex's shift), so the group order is
+    p ** len(basis).
 
     All reduction happens in the label-vector view, where composing with
     a basis power is two fancy indexes over the vertex set and the next
     pivot is a single argmax; commutators of a fresh basis element with
     the whole existing basis are batched into a few matrix operations.
-    Leaf permutations are rebuilt, by replaying the recorded reduction
-    path, only for the elements that actually join the basis.  For p = 2
-    the deepest vertex band is elementary abelian and holds roughly half
-    the pivots, so material landing there is eliminated with bitset
-    arithmetic and band pairs, which commute, are skipped outright.
-
-    The order is the certificate that lets stabilizer chains stop their
-    Schreier verification early; it is computed by entirely different
-    means than the chain itself.  The basis elements double as seeds that
-    hand the chain its deep levels cheaply."""
+    For p = 2 in breadth-first order the deepest vertex band is elementary
+    abelian and holds roughly half the pivots, so material landing there
+    is eliminated with bitset arithmetic and band pairs, which commute,
+    are skipped outright."""
     gens = [np.asarray(a, dtype=np.int64) for a in gen_arrays]
     conj_leaf = [np.asarray(c, dtype=np.int64) for c in (conj_arrays or ())]
     for arr in gens + conj_leaf:
         _assert_cyclic_blocks(arr, p, n)
-    offsets, starts = _label_tables(p, n)
-    V = offsets[n]
+    V = _depth_start(p, n)
     iden_v = np.arange(V, dtype=np.int64)
-    conj_leaf_inv = [invert_perm(c) for c in conj_leaf]
     conj_pairs = []
-    for c_leaf, c_leaf_inv in zip(conj_leaf, conj_leaf_inv):
-        cl, cv = _leaf_to_labels(c_leaf, p, n, offsets, starts)
-        cli, cvi = _leaf_to_labels(c_leaf_inv, p, n, offsets, starts)
-        conj_pairs.append((cl, cv, cli, cvi))
+    for c_leaf in conj_leaf:
+        cl, cv = _leaf_to_labels(c_leaf, p, n, _rank)
+        conj_pairs.append((cl, cv) + _invert_labels(cl, cv, p))
 
     # one row per installed pivot vertex; the matrices let a new element's
     # commutators against the whole basis be formed in bulk
@@ -600,24 +339,15 @@ def tree_pivot_basis(
     TM = np.zeros((V, V), dtype=bool)
     key2row: dict[int, int] = {}
     row_pows: list[list] = []
-    row_leaf: list[np.ndarray] = []
-    row_leaf_inv: list[np.ndarray] = []
-    row_leaf_pows: list[list] = []
     row_bvpi: list[np.ndarray] = []
 
     # the band of deepest vertices: for p = 2 its elements are plain bit
     # vectors (trivial vertex action), handled by integer xor elimination
-    bottom0 = offsets[n - 1] if p == 2 else V
+    bottom0 = _depth_start(p, n - 1) if p == 2 and _rank is None and n else V
     nb = V - bottom0
     bot: dict[int, int] = {}
     botwork: deque = deque()
-    conj_bvpi = []
-
-    def compose(l1, v1, l2, v2):
-        # product "first apply (l2, v2)": labels add at the image vertex
-        if p == 2:
-            return l1[v2] ^ l2, v1[v2]
-        return (l1[v2] + l2) % p, v1[v2]
+    conj_bvpi = [cvi[bottom0:] - bottom0 for _, _, _, cvi in conj_pairs]
 
     def unpack_bits(bits):
         raw = bits.to_bytes((nb + 7) // 8, "little")
@@ -630,11 +360,7 @@ def tree_pivot_basis(
     def install_bottom(pb, bits):
         bot[pb] = bits
         wb = unpack_bits(bits)
-        for bvpi in row_bvpi:
-            c = pack_bits(wb[bvpi])
-            if c != bits:
-                botwork.append(c)
-        for bvpi in conj_bvpi:
+        for bvpi in row_bvpi + conj_bvpi:
             c = pack_bits(wb[bvpi])
             if c != bits:
                 botwork.append(c)
@@ -648,39 +374,13 @@ def tree_pivot_basis(
                 return
             bits ^= row
 
-    def replay_leaf(recipe, path):
-        kind = recipe[0]
-        if kind == "gen":
-            arr = gens[recipe[1]]
-        elif kind == "pow":
-            base = row_leaf[recipe[1]]
-            arr = base
-            for _ in range(p - 1):
-                arr = arr[base]
-        elif kind == "comm":
-            hr, cr = recipe[1], recipe[2]
-            arr = row_leaf_inv[hr][row_leaf_inv[cr][row_leaf[hr][row_leaf[cr]]]]
-        else:
-            hr, j = recipe[1], recipe[2]
-            arr = conj_leaf_inv[j][row_leaf[hr][conj_leaf[j]]]
-        for ridx, m in path:
-            arr = arr[row_leaf_pows[ridx][m]]
-        return arr
-
-    for _, _, _, cvi in conj_pairs:
-        conj_bvpi.append(cvi[bottom0:] - bottom0)
-
-    work: deque = deque()
-    for i, arr in enumerate(gens):
-        lv, vp = _leaf_to_labels(arr, p, n, offsets, starts)
-        work.append((lv, vp, ("gen", i)))
+    work: deque = deque(_leaf_to_labels(arr, p, n, _rank) for arr in gens)
 
     while work or botwork:
         if botwork:
             reduce_bits(botwork.popleft())
             continue
-        lv, vp, recipe = work.popleft()
-        path: list[tuple[int, int]] = []
+        lv, vp = work.popleft()
         low = 0
         while low < V:
             seg = lv[low:] != 0
@@ -694,36 +394,25 @@ def tree_pivot_basis(
             s = int(lv[idx])
             row = key2row.get(idx)
             if row is not None:
-                m = p - s
-                lpw, vpw = row_pows[row][m]
-                lv, vp = compose(lv, vp, lpw, vpw)
-                path.append((row, m))
+                lpw, vpw = row_pows[row][p - s]
+                lv, vp = _compose(lv, vp, lpw, vpw, p)
                 low = idx + 1
                 continue
             # fresh pivot: normalize its shift to 1, then install
-            t = pow(s, -1, p)
             hl, hv = lv, vp
-            for _ in range(t - 1):
-                hl, hv = compose(hl, hv, lv, vp)
-            hvi = invert_perm(hv)
-            hli = (-hl[hvi]) % p
+            for _ in range(pow(s, -1, p) - 1):
+                hl, hv = _compose(hl, hv, lv, vp, p)
+            hli, hvi = _invert_labels(hl, hv, p)
             tm = (hl != 0) | (hv != iden_v)
             k = len(key2row)
             pows = [None, (hl, hv)]
             for _ in range(p - 2):
                 pl, pv = pows[-1]
-                pows.append(compose(pl, pv, hl, hv))
-            base = replay_leaf(recipe, path)
-            leaf = base
-            for _ in range(t - 1):
-                leaf = leaf[base]
-            leaf_pows = [None, leaf]
-            for _ in range(p - 2):
-                leaf_pows.append(leaf_pows[-1][leaf])
+                pows.append(_compose(pl, pv, hl, hv, p))
             pl, pv = pows[p - 1]
-            ql, qv = compose(pl, pv, hl, hv)
+            ql, qv = _compose(pl, pv, hl, hv, p)
             if ql.any():
-                work.append((ql, qv, ("pow", k)))
+                work.append((ql, qv))
             if k:
                 inter = np.flatnonzero((TM[:k] & tm).any(axis=1))
                 if inter.size:
@@ -740,14 +429,12 @@ def tree_pivot_basis(
                         t2l = (np.take_along_axis(LVI[inter], t1v, axis=1) + t1l) % p
                         t3l = (hli[t2v] + t2l) % p
                     for r in np.flatnonzero((t3l != 0).any(axis=1)):
-                        work.append(
-                            (t3l[r].copy(), t3v[r].copy(), ("comm", k, int(inter[r])))
-                        )
-            for jx, (cl, cv, cli, cvi) in enumerate(conj_pairs):
-                al, av = compose(hl, hv, cl, cv)
-                al, av = compose(cli, cvi, al, av)
+                        work.append((t3l[r].copy(), t3v[r].copy()))
+            for cl, cv, cli, cvi in conj_pairs:
+                al, av = _compose(hl, hv, cl, cv, p)
+                al, av = _compose(cli, cvi, al, av, p)
                 if not (np.array_equal(al, hl) and np.array_equal(av, hv)):
-                    work.append((al, av, ("conj", k, jx)))
+                    work.append((al, av))
             bvpi = hvi[bottom0:] - bottom0
             if bot:
                 M = np.stack([unpack_bits(bot[pb]) for pb in sorted(bot)])
@@ -761,30 +448,65 @@ def tree_pivot_basis(
             TM[k] = tm
             key2row[idx] = k
             row_pows.append(pows)
-            row_leaf.append(leaf)
-            row_leaf_inv.append(invert_perm(leaf))
-            row_leaf_pows.append(leaf_pows)
             row_bvpi.append(bvpi)
             break
-    order = p ** (len(key2row) + len(bot))
-    seeds = [row_leaf[key2row[key]] for key in sorted(key2row)]
-    if bot:
-        iden_leaf = np.arange(p**n, dtype=np.int64)
-        for pb in sorted(bot):
-            flips = unpack_bits(bot[pb]).astype(np.int64)
-            seeds.append(iden_leaf ^ np.repeat(flips, 2))
-    return order, seeds
+    # rows in key order; bottom-band rows act on labels only
+    top_keys = sorted(key2row)
+    bot_keys = sorted(bot)
+    keys = np.array(top_keys + [bottom0 + pb for pb in bot_keys], dtype=np.int64)
+    labels = np.zeros((len(keys), V), dtype=np.int16)
+    verts = np.tile(iden_v, (len(keys), 1))
+    rows = [key2row[key] for key in top_keys]
+    labels[: len(rows)] = LV[rows]
+    verts[: len(rows)] = VP[rows]
+    for i, pb in enumerate(bot_keys, start=len(rows)):
+        labels[i, bottom0:] = unpack_bits(bot[pb])
+    return PivotBasis(p ** len(keys), p, n, keys, labels, verts, _rank)
 
 
-def tree_group_order(
-    gen_arrays: Sequence[np.ndarray],
-    p: int,
-    n: int,
-    conj_arrays: Optional[Sequence[np.ndarray]] = None,
-) -> int:
-    """Order of the group the arrays generate (the normal closure, with
-    `conj_arrays`); see tree_pivot_basis."""
-    return tree_pivot_basis(gen_arrays, p, n, conj_arrays)[0]
+# ---------------------------------------------------------------------------
+# group-level constructions
+
+
+def group_desc(spec: GroupSpec) -> SubgroupDesc:
+    return SubgroupDesc("G", generating_set(spec), False, spec)
+
+
+# Least recently used bases of whole-group level images, keyed by (spec, n).
+_G_CHAIN_CACHE_SIZE = 16
+_g_chain_cache: OrderedDict[tuple[GroupSpec, int], PivotBasis] = OrderedDict()
+
+
+def group_chain(spec: GroupSpec, n: int) -> PivotBasis:
+    """Basis of the full level quotient, cached per (spec, n)."""
+    key = (spec, n)
+    found = _g_chain_cache.get(key)
+    if found is None:
+        found = chain_from(group_desc(spec), n)
+        _g_chain_cache[key] = found
+        if len(_g_chain_cache) > _G_CHAIN_CACHE_SIZE:
+            _g_chain_cache.popitem(last=False)
+    else:
+        _g_chain_cache.move_to_end(key)
+    return found
+
+
+def chain_from(desc: SubgroupDesc, n: int) -> PivotBasis:
+    """Basis of the level-n image of the described subgroup.
+
+    Normal closures are computed inside the level image: the generator
+    images are closed under conjugation by the level images of the whole
+    group's generators.  This equals the image of the symbolic normal
+    closure because taking level images is a homomorphism.
+    """
+    spec = desc.spec
+    if spec.p**n > ENUMERATION_CAP:
+        raise LevelTooLarge(f"p^n = {spec.p**n} exceeds the cap {ENUMERATION_CAP}")
+    gen_arrays = [level_perm(g, n).images for g in desc.generators]
+    ambient = None
+    if desc.normal_closure:
+        ambient = [level_perm(g, n).images for g in generating_set(spec)]
+    return tree_pivot_basis(gen_arrays, spec.p, n, conj_arrays=ambient)
 
 
 def _commutator_arrays(arrs: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -806,54 +528,18 @@ def _commutator_arrays(arrs: Sequence[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _closure_under_conjugation(
-    seeds: Sequence[np.ndarray],
-    conj_gens: Sequence[np.ndarray],
-    degree: int,
-    n: Optional[int],
-    p: Optional[int],
-) -> PermChain:
-    target = None
-    basis_seeds: list[np.ndarray] = []
-    if p is not None and n is not None and degree == p**n:
-        target, basis_seeds = tree_pivot_basis(
-            list(seeds), p, n, conj_arrays=list(conj_gens)
-        )
-    chain = PermChain(degree, n, p, target)
-    conj_inv = [invert_perm(t) for t in conj_gens]
-    work: deque[np.ndarray] = deque()
-    for s in seeds:
-        if chain._complete:
-            break
-        if chain._feed(np.asarray(s, dtype=np.int64)):
-            work.append(s)
-    for s in basis_seeds:
-        if chain._complete:
-            break
-        chain._feed(s)
-    if not chain._complete:
-        chain._process()
-    while work and not chain._complete:
-        s = work.popleft()
-        for t, t_inv in zip(conj_gens, conj_inv):
-            c = t_inv[s[t]]
-            if chain.insert(c):
-                work.append(c)
-    return chain
-
-
 def derived_chain(
-    chain: PermChain,
+    chain: PivotBasis,
     gens: Sequence[Union[LevelPerm, np.ndarray]],
     n: int,
     k: int = 1,
-) -> PermChain:
+) -> PivotBasis:
     """k-th derived subgroup of the finite image generated by `gens`.
 
-    Each round takes commutators of the current generating set as seeds
-    and closes them under conjugation by the original generators.  That
-    gives the same subgroup as closing within the current term, because
-    every derived term is normal in the starting group, and it keeps the
+    Each round takes commutators of the current generating set and closes
+    them under conjugation by the original generators.  That gives the
+    same subgroup as closing within the current term, because every
+    derived term is normal in the starting group, and it keeps the
     conjugating set small across rounds.
     """
     if k < 1:
@@ -865,9 +551,8 @@ def derived_chain(
     cur = ambient
     out = chain
     for _ in range(k):
-        comms = _commutator_arrays(cur)
-        out = _closure_under_conjugation(comms, ambient, chain.degree, chain.n, chain.p)
-        cur = list(out.strong_gens)
+        out = tree_pivot_basis(_commutator_arrays(cur), chain.p, n, conj_arrays=ambient)
+        cur = out.pivots()
         if not cur:
             break
     return out
@@ -882,31 +567,10 @@ def _prefix_kernel_gens(
 ) -> tuple[list[np.ndarray], int]:
     """Generators (as level-n permutations) of the kernel of the map from
     the level-n image onto the level-ell image, together with the kernel's
-    order.
-
-    Build a chain on the disjoint union of levels ell and n with the
-    level-ell points first; strong generators fixing that whole block are
-    exactly the kernel, and the product of the tail orbit sizes is its
-    order.
+    order: the rows of the level-n basis whose pivot lies at depth >= ell.
     """
-    p = spec.p
-    small = p**ell
-    big = p**n
-    if small + big > ENUMERATION_CAP * 2:
-        raise LevelTooLarge("combined domain too large")
-    combined = []
-    for g in generating_set(spec):
-        lo = level_perm(g, ell).images
-        hi = level_perm(g, n).images
-        combined.append(np.concatenate([lo, hi + small]))
-    chain = build_chain(combined, small + big)
-    kernel = [
-        sg[small:] - small for sg, f in zip(chain.strong_gens, chain.fmp) if f >= small
-    ]
-    order = math.prod(
-        len(lvl.orbit) for v, lvl in chain.levels.items() if v >= small
-    )
-    return kernel, order
+    kernel = group_chain(spec, n).tail(_depth_start(spec.p, ell))
+    return kernel.pivots(), kernel.order
 
 
 @dataclass(frozen=True)
@@ -960,49 +624,43 @@ def stab_in_derived_check(spec: GroupSpec, n: int) -> StabDerivedReport:
     return StabDerivedReport(spec.p, spec.m, n, tuple(entries))
 
 
-def rigid_stab_level(chainG: PermChain, v: Union[str, Sequence[int]], n: int) -> PermChain:
-    """Subgroup of the chain's group supported on the level-n descendants
-    of vertex v: the kernel of the action on all points outside that block,
-    computed by reordering the domain so outside points come first."""
-    p = chainG.p
-    if p is None:
-        raise StructureError("chain carries no alphabet size")
+def _vertex_index(v: Union[str, Sequence[int]], p: int) -> tuple[int, int]:
+    """Depth of the vertex given by its digit string and its index among
+    the vertices of that depth."""
     digits = [int(ch) for ch in v] if isinstance(v, str) else [int(c) for c in v]
-    depth = len(digits)
-    if depth >= n and depth > 0:
-        raise ValueError("vertex must be shallower than the level")
-    if chainG.degree != p**n:
-        raise LevelMismatch("chain degree does not match p^n")
-    if depth == 0:
-        return chainG
     v_int = 0
     for d in digits:
         v_int = v_int * p + d
-    block = p ** (n - depth)
-    start = v_int * block
-    N = p**n
-    relab = np.empty(N, dtype=np.int64)
-    outside = np.concatenate([np.arange(0, start), np.arange(start + block, N)])
-    relab[outside] = np.arange(N - block)
-    relab[start : start + block] = np.arange(N - block, N)
-    relab_inv = invert_perm(relab)
-    relabeled = []
-    for g in chainG.strong_gens:
-        h = np.empty(N, dtype=np.int64)
-        h[relab] = relab[g]
-        relabeled.append(h)
-    reordered = build_chain(relabeled, N)
-    boundary = N - block
-    kernel = [
-        relab_inv[sg[relab]]
-        for sg, f in zip(reordered.strong_gens, reordered.fmp)
-        if f >= boundary
-    ]
-    return build_chain(kernel, N, chainG.n, p)
+    return len(digits), v_int
+
+
+def rigid_stab_level(
+    chainG: PivotBasis, v: Union[str, Sequence[int]], n: int
+) -> PivotBasis:
+    """Subgroup of the basis's group supported on the level-n descendants
+    of vertex v: the group is rebased with the vertices outside the
+    subtree of v ordered first, and the rows pivoting inside the subtree
+    are the elements whose labels vanish everywhere outside it."""
+    p = chainG.p
+    depth, v_int = _vertex_index(v, p)
+    if depth >= n and depth > 0:
+        raise ValueError("vertex must be shallower than the level")
+    if chainG.n != n:
+        raise LevelMismatch("basis level does not match n")
+    if depth == 0:
+        return chainG
+    inside = np.zeros(_depth_start(p, n), dtype=bool)
+    for d in range(depth, n):
+        width = p ** (d - depth)
+        first = _depth_start(p, d) + v_int * width
+        inside[first : first + width] = True
+    order = np.concatenate([np.flatnonzero(~inside), np.flatnonzero(inside)])
+    rebased = tree_pivot_basis(chainG.pivots(), p, n, _rank=invert_perm(order))
+    return rebased.tail(int(np.count_nonzero(~inside)))
 
 
 def project_to_subtree(
-    chain_or_gens: Union[PermChain, Sequence[np.ndarray]],
+    chain_or_gens: Union[PivotBasis, Sequence[np.ndarray]],
     v: Union[str, Sequence[int]],
     n: int,
     p: int,
@@ -1010,15 +668,11 @@ def project_to_subtree(
     """Restrict permutations supported on the subtree below v to that
     block, as permutations of p^(n - |v|) points."""
     gens = (
-        chain_or_gens.strong_gens
-        if isinstance(chain_or_gens, PermChain)
+        chain_or_gens.pivots()
+        if isinstance(chain_or_gens, PivotBasis)
         else list(chain_or_gens)
     )
-    digits = [int(ch) for ch in v] if isinstance(v, str) else [int(c) for c in v]
-    depth = len(digits)
-    v_int = 0
-    for d in digits:
-        v_int = v_int * p + d
+    depth, v_int = _vertex_index(v, p)
     block = p ** (n - depth)
     start = v_int * block
     out = []
@@ -1071,23 +725,7 @@ def branch_pair_check(spec: GroupSpec, n: int) -> bool:
 
 
 def density_check(spec: GroupSpec, H: SubgroupDesc, n: int) -> bool:
-    """Whether the level-n images of H and of the whole group coincide:
-    equal chain orders and every group generator sifts into H's chain."""
-    chainG = group_chain(spec, n)
-    chainH = chain_from(H, n)
-    if chainH.order != chainG.order:
-        return False
-    return all(chainH.member(level_perm(g, n)) for g in generating_set(spec))
-
-
-def chain_summary_records(chain: PermChain) -> list[str]:
-    """Line-delimited summary: degree, order, strong generator count, then
-    one record per materialized base point."""
-    lines = [
-        f"degree={chain.degree}",
-        f"order={chain.order}",
-        f"strong_generators={len(chain.strong_gens)}",
-    ]
-    for v in sorted(chain.levels):
-        lines.append(f"base={v} orbit={len(chain.levels[v].orbit)}")
-    return lines
+    """Whether the level-n images of H and of the whole group coincide.
+    H lies in the group, so equal orders decide it exactly."""
+    order = group_chain(spec, n).order
+    return chain_from(H, n).order == order

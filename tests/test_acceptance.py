@@ -10,6 +10,7 @@ output on failure.
 import random
 import time
 
+from brute_force import closure_order
 from selfsim import (
     SubgroupDesc,
     all_ones,
@@ -19,7 +20,6 @@ from selfsim import (
     branch_pair_check,
     build_conjugator,
     classify,
-    closure_order,
     commutator,
     conjugate,
     conjugation_check,

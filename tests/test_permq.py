@@ -3,15 +3,14 @@ import random
 import numpy as np
 import pytest
 
+from brute_force import closure_elements, closure_order
 from selfsim import (
     LevelPerm,
-    PermChain,
     SubgroupDesc,
     act_on_vertex,
     b_letter,
     branch_pair_check,
     chain_from,
-    closure_order,
     density_check,
     derived_chain,
     gen_a,
@@ -27,16 +26,18 @@ from selfsim import (
     stab_in_derived_check,
 )
 from selfsim.permq import (
+    _G_CHAIN_CACHE_SIZE,
+    _g_chain_cache,
     _prefix_kernel_gens,
     branch_group_desc,
-    build_chain,
-    chain_summary_records,
     group_desc,
     invert_perm,
     project_to_subtree,
+    tree_pivot_basis,
 )
 from selfsim.errors import (
     DegenerateCase,
+    LevelMismatch,
     LevelTooLarge,
     StructureError,
 )
@@ -51,20 +52,22 @@ def random_word(spec, rng, length):
 
 
 def brute_elements(spec, n):
-    gens = [tuple(int(v) for v in level_perm(g, n).images) for g in generating_set(spec)]
-    deg = spec.p**n
-    seen = {tuple(range(deg))}
-    frontier = [tuple(range(deg))]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in gens:
-                h = tuple(f[g[i]] for i in range(deg))
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return seen
+    return closure_elements(level_perm(g, n).images for g in generating_set(spec))
+
+
+def random_tree_perm(rng, p, n):
+    """Uniform element of the n-fold wreath power of Z/p, built from a
+    random child shift at every vertex (independently of permq)."""
+    shift = {}
+    images = []
+    for leaf in range(p**n):
+        digits = [(leaf // p ** (n - 1 - d)) % p for d in range(n)]
+        img = 0
+        for d in range(n):
+            s = shift.setdefault(tuple(digits[:d]), rng.randrange(p))
+            img = img * p + (digits[d] + s) % p
+        images.append(img)
+    return np.array(images, dtype=np.int64)
 
 
 def test_level_perm_frozen(ge, grig, fg):
@@ -172,13 +175,67 @@ def test_membership(ge, grig):
     assert not group_chain(ge, 4).member(swap01_deep)
 
 
+def test_level_orders_closed_form(ge, grig, fg):
+    # log2|G_n| = 1, 3, 7, 12, then 5 * 2^(n-3) + 2; log3|G_n| = 3^(n-1) + 1
+    for spec in (ge, grig):
+        logs = [group_chain(spec, n).order.bit_length() - 1 for n in range(1, 10)]
+        assert logs == [1, 3, 7, 12] + [5 * 2 ** (n - 3) + 2 for n in range(5, 10)]
+        assert all(group_chain(spec, n).order == 2 ** x for n, x in enumerate(logs, 1))
+    for n in range(2, 6):
+        assert group_chain(fg, n).order == 3 ** (3 ** (n - 1) + 1)
+
+
+def test_membership_vs_brute_closure(ge, grig):
+    rng = random.Random(34)
+    for spec in (ge, grig):
+        elems = brute_elements(spec, 4)
+        basis = group_chain(spec, 4)
+        assert len(elems) == basis.order
+        outside = 0
+        for _ in range(200):
+            arr = random_tree_perm(rng, 2, 4)
+            want = tuple(arr.tolist()) in elems
+            outside += not want
+            assert basis.member(arr) == want
+        assert outside > 100
+        for _ in range(30):
+            x = random_word(spec, rng, rng.randrange(0, 16))
+            assert basis.member(level_perm(x, 4))
+        # a transposition across the two halves is no tree automorphism
+        cross = np.arange(16, dtype=np.int64)
+        cross[[7, 8]] = [8, 7]
+        assert not basis.member(cross)
+    with pytest.raises(LevelMismatch):
+        basis.member(np.arange(8, dtype=np.int64))
+    with pytest.raises(LevelMismatch):
+        basis.member(level_perm(gen_a(grig), 3))
+
+
 def test_chain_determinism(ge):
     c1 = chain_from(group_desc(ge), 4)
     c2 = chain_from(group_desc(ge), 4)
     assert c1.order == c2.order
-    assert len(c1.strong_gens) == len(c2.strong_gens)
-    for g1, g2 in zip(c1.strong_gens, c2.strong_gens):
+    p1, p2 = c1.pivots(), c2.pivots()
+    assert len(p1) == len(p2) == 12
+    for g1, g2 in zip(p1, p2):
         assert np.array_equal(g1, g2)
+        assert c1.member(g1)
+
+
+def test_group_chain_cache_is_bounded(ge, grig, fg, dih):
+    keys = [(spec, n) for spec in (ge, grig, fg, dih) for n in range(1, 6)]
+    assert len(keys) > _G_CHAIN_CACHE_SIZE >= 16
+    for spec, n in keys:
+        group_chain(spec, n)
+        assert len(_g_chain_cache) <= _G_CHAIN_CACHE_SIZE
+    # least recently used entries go first; a hit refreshes its entry
+    assert list(_g_chain_cache) == keys[-_G_CHAIN_CACHE_SIZE:]
+    oldest = keys[-_G_CHAIN_CACHE_SIZE]
+    kept = _g_chain_cache[oldest]
+    assert group_chain(*oldest) is kept
+    group_chain(ge, 6)
+    assert oldest in _g_chain_cache
+    assert keys[-_G_CHAIN_CACHE_SIZE + 1] not in _g_chain_cache
 
 
 def test_subgroup_desc_validation(ge, grig):
@@ -293,7 +350,7 @@ def test_rigid_stab_matches_brute(ge, grig):
             )
             rist = rigid_stab_level(chain, v, 3)
             assert rist.order == count
-            for g in rist.strong_gens:
+            for g in rist.pivots():
                 assert chain.member(g)
                 outside = [i for i in range(8) if not start <= i < start + block]
                 assert all(g[i] == i for i in outside)
@@ -303,7 +360,7 @@ def test_project_to_subtree(ge):
     chain = group_chain(ge, 3)
     rist = rigid_stab_level(chain, "1", 3)
     restricted = project_to_subtree(rist, "1", 3, 2)
-    assert build_chain(restricted, 4).order == rist.order
+    assert tree_pivot_basis(restricted, 2, 2).order == rist.order
     with pytest.raises(StructureError):
         project_to_subtree([level_perm(gen_a(ge), 3).images], "0", 3, 2)
 
@@ -333,12 +390,3 @@ def test_density_check(ge):
     assert density_check(ge, hd, 1)
     assert not density_check(ge, hd, 3)
 
-
-def test_chain_summary_records(grig):
-    assert chain_summary_records(group_chain(grig, 2)) == [
-        "degree=4",
-        "order=8",
-        "strong_generators=3",
-        "base=0 orbit=4",
-        "base=2 orbit=2",
-    ]
