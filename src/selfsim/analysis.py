@@ -47,7 +47,7 @@ from .elements import (
     theta,
     word_str,
 )
-from .boundary import certificate_sample, z_action, zeta
+from .boundary import certificate_sample, z_action
 
 
 # ---------------------------------------------------------------------------
@@ -369,19 +369,6 @@ def count_finite_index_maximals(spec: GroupSpec) -> MaximalCount:
 # classification report
 
 
-def faithful_action(spec: GroupSpec) -> bool:
-    """The directed part acts faithfully iff no nonzero code stays inside
-    the last-coordinate kernel under all rho iterates."""
-    kernel = {code for code in range(spec.pm) if spec.omega_code[code] == 0}
-    stable = set(kernel)
-    while True:
-        smaller = {code for code in stable if spec.rho_code[code] in stable}
-        if smaller == stable:
-            break
-        stable = smaller
-    return stable == {0}
-
-
 @dataclass(frozen=True)
 class ClassifyReport:
     p: int
@@ -414,7 +401,8 @@ def classify(spec: GroupSpec) -> ClassifyReport:
         m=spec.m,
         coeffs=spec.coeffs,
         degenerate=degenerate,
-        faithful=faithful_action(spec),
+        # GroupSpec._check_faithful refuses unfaithful specs at construction.
+        faithful=True,
         torsion=torsion,
         witness=witness,
         divisible=divisible_by_x_plus_1(spec),

@@ -9,9 +9,10 @@ stay eventually periodic and the action is computed exactly with cycle
 detection.
 
 The module also builds Schreier balls of the orbit of the all-ones ray,
-the bijection n -> (ab)^n applied to that ray, the induced action on
-integers, and the properness certificate for the subgroups generated by
-(ab)^q together with B.
+the bijection n -> (ab)^n applied to that ray in closed form (a Gray-code
+digit map, so no search and no bound), the induced action on integers,
+and the properness certificate for the subgroups generated by (ab)^q
+together with B.
 """
 
 from __future__ import annotations
@@ -302,47 +303,40 @@ def _witness_pair(spec: GroupSpec) -> tuple[Element, Element]:
 
 
 def zeta(spec: GroupSpec, n: int) -> Ray:
-    """The ray (ab)^n applied to the all-ones ray; cached incrementally."""
-    a, b = _witness_pair(spec)
-    pos = spec._zeta_pos
-    neg = spec._zeta_neg
-    if not pos:
-        pos.append(all_ones(spec))
-    if not neg:
-        neg.append(all_ones(spec))
-    if n >= 0:
-        while len(pos) <= n:
-            r = pos[-1]
-            pos.append(act_ray(a, act_ray(b, r)))
-        return pos[n]
-    k = -n
-    while len(neg) <= k:
-        r = neg[-1]
-        # (ab)^-1 = b^-1 a^-1 = b a for involutions a, b.
-        neg.append(act_ray(b, act_ray(a, r)))
-    return neg[k]
+    """The ray (ab)^n applied to the all-ones ray, in O(log|n|).
+
+    The orbit is a path a-b-a-b-... on which zeta(n) sits at position
+    m = 2n-1 for n > 0 and m = -2n for n <= 0.  With g = m XOR (m >> 1),
+    the reflected Gray code of m, the ray is u 1^infinity where
+    u_i = 1 - bit_i(g).  Only a and the witness b = (a, b) act, so the
+    map is the same for every spec that has a witness.
+    """
+    _witness_pair(spec)
+    m = 2 * n - 1 if n > 0 else -2 * n
+    g = m ^ (m >> 1)
+    return make_ray([1 - ((g >> i) & 1) for i in range(g.bit_length())], (1,))
 
 
-DEFAULT_ORBIT_SEARCH_BOUND = 10**4
-
-
-def zeta_inv(spec: GroupSpec, r: Ray, bound: int = DEFAULT_ORBIT_SEARCH_BOUND) -> int:
-    """The unique n with zeta(n) = r, found by outward search
-    0, 1, -1, 2, -2, ...; NotInOrbit past the bound."""
+def zeta_inv(spec: GroupSpec, r: Ray) -> int:
+    """The unique n with zeta(n) = r; NotInOrbit when r has a digit outside
+    {0, 1} or is not cofinal with the all-ones ray."""
+    _witness_pair(spec)
     r = make_ray(r.pre, r.per)
-    if r == zeta(spec, 0):
-        return 0
-    for k in range(1, bound + 1):
-        if zeta(spec, k) == r:
-            return k
-        if zeta(spec, -k) == r:
-            return -k
-    raise NotInOrbit(f"ray {ray_str(r)} not found within |n| <= {bound}")
+    if r.per != (1,) or any(d not in (0, 1) for d in r.pre):
+        raise NotInOrbit(f"ray {ray_str(r)} is not cofinal with (1)")
+    g = sum((1 - d) << i for i, d in enumerate(r.pre))
+    # Undo the Gray code: bit i of m is the XOR of the bits of g from i up.
+    m = g
+    shift = 1
+    while g >> shift:
+        m ^= m >> shift
+        shift *= 2
+    return (m + 1) // 2 if m % 2 else -(m // 2)
 
 
-def z_action(x: Element, n: int, bound: int = DEFAULT_ORBIT_SEARCH_BOUND) -> int:
+def z_action(x: Element, n: int) -> int:
     """The action of x on the integer parametrization of the orbit."""
-    return zeta_inv(x.spec, act_ray(x, zeta(x.spec, n)), bound)
+    return zeta_inv(x.spec, act_ray(x, zeta(x.spec, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -148,8 +148,6 @@ class GroupSpec:
         "omega_code",
         "neg_code",
         "_trivial_memo",
-        "_zeta_pos",
-        "_zeta_neg",
     )
 
     def __init__(self, p: int, coeffs: Sequence[int]):
@@ -180,9 +178,6 @@ class GroupSpec:
         self._check_cayley_hamilton()
         self._check_faithful()
         self._trivial_memo: dict[tuple[int, ...], bool] = {}
-        # Boundary-ray caches, filled lazily by the boundary module.
-        self._zeta_pos: list = []
-        self._zeta_neg: list = []
 
     # -- vector code helpers -------------------------------------------------
 

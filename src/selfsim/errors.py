@@ -65,8 +65,8 @@ class EvenQ(SelfsimError):
 
 
 class NotInOrbit(SelfsimError):
-    """The ray could not be located in the orbit of the all-ones ray within
-    the search bound."""
+    """The ray is not in the orbit of the all-ones ray: it has a digit
+    outside {0, 1} or is not cofinal with 1^infinity."""
 
 
 class NotLevelOneStabilized(SelfsimError):

@@ -29,7 +29,6 @@ from selfsim import (
 )
 from selfsim.analysis import (
     IDENTITY_SUITE_VERSION,
-    faithful_action,
     suite_records,
 )
 from selfsim.errors import (
@@ -269,7 +268,7 @@ def test_maximal_descriptors(ge, fg):
 
 def test_faithful_action(ge, grig, fg, dih):
     for spec in (ge, grig, fg, dih):
-        assert faithful_action(spec)
+        assert classify(spec).faithful
 
 
 def test_identity_suite(ge, grig, fg, dih):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from brute_force import iterative_zeta
 from selfsim import (
     Ray,
     act_ray,
@@ -15,6 +16,7 @@ from selfsim import (
     identity,
     invert,
     make_ray,
+    make_spec,
     multiply,
     parse_word,
     ray_str,
@@ -109,11 +111,27 @@ def test_zeta_requires_witness(grig, fg):
     for spec in (grig, fg):
         with pytest.raises(NoDihedralWitness):
             zeta(spec, 1)
+        with pytest.raises(NoDihedralWitness):
+            zeta_inv(spec, all_ones(spec))
 
 
 def test_not_in_orbit(ge):
-    with pytest.raises(NotInOrbit):
-        zeta_inv(ge, make_ray("", "0"), bound=50)
+    for pre, per in (("", "0"), ("", "01"), ("2", "1")):
+        with pytest.raises(NotInOrbit):
+            zeta_inv(ge, make_ray(pre, per))
+
+
+def test_zeta_closed_form_vs_iterative(ge, dih):
+    for spec, bound in ((ge, 10**4), (dih, 1000), (make_spec(2, (1, 0, 0)), 1000)):
+        for n, r in iterative_zeta(spec, bound).items():
+            assert zeta(spec, n) == r
+            assert zeta_inv(spec, r) == n
+
+
+def test_line_coordinates_past_old_search_bound(ge):
+    assert z_action(parse_word(ge, "(aB<1,1>)^3"), 9999) == 10002
+    assert z_action(parse_word(ge, "aB<1,1>"), 10**9) == 10**9 + 1
+    assert zeta_inv(ge, zeta(ge, -10**12)) == -10**12
 
 
 def test_ball_is_path(ge):
