@@ -20,7 +20,6 @@ from .core import GroupSpec, dihedral_witness, is_torsion
 from .errors import (
     DegenerateCase,
     EvenQ,
-    NoDihedralWitness,
     NotLevelOneStabilized,
     ScreenInconclusive,
     StructureError,
@@ -47,7 +46,7 @@ from .elements import (
     theta,
     word_str,
 )
-from .boundary import certificate_sample, z_action
+from .boundary import certificate_sample, witness_pair, z_action
 
 
 # ---------------------------------------------------------------------------
@@ -63,22 +62,15 @@ class HqDesc:
     generators: tuple[Element, ...]
 
 
-def _witness_elements(spec: GroupSpec) -> tuple[Element, Element]:
-    code = dihedral_witness(spec)
-    if code is None:
-        raise NoDihedralWitness("no directed generator pairs dihedrally with a")
-    return gen_a(spec), b_letter(spec, code)
-
-
 def hq(spec: GroupSpec, q: int) -> HqDesc:
     """Descriptor of H(q) = <(ab)^q, directed part>, q odd >= 1."""
     if q % 2 == 0:
         raise EvenQ(f"q = {q} must be odd")
     if q < 1:
         raise ValueError("q must be positive")
-    a, b = _witness_elements(spec)
+    a, b = witness_pair(spec)
     gens = (power(multiply(a, b), q),) + tuple(basis_gens(spec))
-    return HqDesc(q, dihedral_witness(spec).coords, gens)
+    return HqDesc(q, spec.coords_of(b.letters[0]), gens)
 
 
 def hq_stab_gens(spec: GroupSpec, q: int) -> list[Element]:
@@ -88,7 +80,7 @@ def hq_stab_gens(spec: GroupSpec, q: int) -> list[Element]:
         raise EvenQ(f"q = {q} must be odd")
     if q < 1:
         raise ValueError("q must be positive")
-    a, b = _witness_elements(spec)
+    a, b = witness_pair(spec)
     t = multiply(a, power(multiply(b, a), q - 1))
     out = []
     for x in basis_gens(spec):
@@ -154,8 +146,8 @@ def subdirect_lift(spec: GroupSpec, q: int, g: Element) -> SubdirectLift:
         raise EvenQ(f"q = {q} must be odd")
     if q < 1:
         raise ValueError("q must be positive")
-    a, b = _witness_elements(spec)
-    wc = spec.code_of(dihedral_witness(spec).coords)
+    a, b = witness_pair(spec)
+    wc = b.letters[0]
     c_vec, _ = find_cd(spec)
     c = b_letter(spec, c_vec)
     parts = []
@@ -275,7 +267,7 @@ def reduction_trace(spec: GroupSpec, q: int, g: Element, max_steps: int = 64) ->
         raise EvenQ(f"q = {q} must be odd")
     if q < 3:
         raise ValueError("descent needs q >= 3")
-    a, b = _witness_elements(spec)
+    a, b = witness_pair(spec)
     ab = multiply(a, b)
     abq = power(ab, q)
     ab2q = power(ab, 2 * q)

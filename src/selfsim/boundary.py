@@ -3,10 +3,9 @@ rays.
 
 A ray is an infinite word over {0, ..., p-1} of the form u v v v ...; the
 pair (u, v) is kept in a canonical form (primitive period, shortest
-preperiod) so that equality is structural.  Generator letters act as finite
-state transducers whose states stay inside B, so eventually periodic rays
-stay eventually periodic and the action is computed exactly with cycle
-detection.
+preperiod) so that equality is structural.  A letter changes at most one
+digit of a ray, so a word acts on a ray as it acts on a long enough finite
+prefix (`elements.act_on_vertex`), and the untouched period follows.
 
 The module also builds Schreier balls of the orbit of the all-ones ray,
 the bijection n -> (ab)^n applied to that ray in closed form (a Gray-code
@@ -22,9 +21,11 @@ from typing import Optional, Sequence, Union
 
 from .core import GroupSpec, dihedral_witness
 from .errors import EvenQ, NoDihedralWitness, NotInOrbit, StructureError
-from .elements import Element
+from .elements import Element, act_on_vertex
 
 Digits = tuple[int, ...]
+
+_PIECE = 32  # letters per window in act_ray
 
 
 def _to_digits(w: Union[str, Sequence[int]]) -> Digits:
@@ -88,78 +89,23 @@ def all_ones(spec: GroupSpec) -> Ray:
     return make_ray((), (1,))
 
 
-def _ray_char(r: Ray, i: int) -> int:
-    if i < len(r.pre):
-        return r.pre[i]
-    return r.per[(i - len(r.pre)) % len(r.per)]
-
-
-def _ray_suffix(r: Ray, k: int) -> Ray:
-    """The ray starting at position k (not canonicalized; callers finish
-    with make_ray)."""
-    if k <= len(r.pre):
-        return Ray(r.pre[k:], r.per)
-    ph = (k - len(r.pre)) % len(r.per)
-    return Ray((), r.per[ph:] + r.per[:ph])
-
-
-def _act_a_power(p: int, e: int, r: Ray) -> Ray:
-    e %= p
-    if e == 0:
-        return r
-    pre = list(r.pre) if r.pre else list(r.per)
-    per = r.per
-    pre[0] = (pre[0] + e) % p
-    return make_ray(pre, per)
-
-
-def _act_b_code(spec: GroupSpec, code: int, r: Ray) -> Ray:
-    """Run the transducer of a B-letter along the ray.
-
-    While reading p-1 the state advances through rho; the first other
-    character decides the exit: a 0 routes the accumulated a-exponent onto
-    the next character, anything else acts trivially from there on.  If the
-    walk enters the periodic part and revisits a (state, phase) pair it
-    will never exit, and the ray is fixed from the repeat point on.
-    """
-    p = spec.p
-    out: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
-    i = 0
-    while True:
-        if i >= len(r.pre):
-            phase = (i - len(r.pre)) % len(r.per)
-            key = (code, phase)
-            if key in seen:
-                j = seen[key]
-                return make_ray(tuple(out[:j]), tuple(out[j:]))
-            seen[key] = len(out)
-        c = _ray_char(r, i)
-        if c == p - 1:
-            out.append(c)
-            code = spec.rho_code[code]
-            i += 1
-            continue
-        out.append(c)
-        suffix = _ray_suffix(r, i + 1)
-        if c == 0:
-            w = spec.omega_code[code]
-            if w:
-                suffix = _act_a_power(p, w, suffix)
-        return make_ray(tuple(out) + suffix.pre, suffix.per)
-
-
 def act_ray(x: Element, r: Ray) -> Ray:
-    """Image of the ray under x; rightmost letter acts first."""
-    spec = x.spec
-    for d in r.pre + r.per:
-        if not 0 <= d < spec.p:
-            raise ValueError(f"ray digit {d} out of range for p = {spec.p}")
-    for l in reversed(x.letters):
-        if l < 0:
-            r = _act_a_power(spec.p, -l, r)
-        else:
-            r = _act_b_code(spec, l, r)
+    """Image of the ray under x; rightmost letter acts first.  A digit
+    outside 0..p-1 raises ValueError."""
+    # Each letter changes at most one digit: a^e digit 0, a B-letter the
+    # digit after the first digit other than p-1.  That change lies at most
+    # len(per)+1 past the preperiod or past the previous change, so for L
+    # letters every change falls inside pre + per^(2L+1) and the digits
+    # after that window are the untouched period.  Words act in pieces of
+    # _PIECE letters: a B-letter may scan a run of p-1 to the end of the
+    # window, so one window for the whole word costs O(L^2) on words such
+    # as (a b0)^k that keep returning to the all-ones ray.
+    letters = x.letters
+    # An empty word still makes one pass, which checks the digits.
+    for end in range(len(letters), 0, -_PIECE) or (0,):
+        piece = Element(x.spec, letters[max(0, end - _PIECE):end])
+        window = r.pre + r.per * (2 * len(piece.letters) + 1)
+        r = make_ray(act_on_vertex(piece, window), r.per)
     return r
 
 
@@ -293,7 +239,9 @@ def dot_export(ball: SchreierBall) -> str:
 # the integer parametrization of the orbit of the all-ones ray
 
 
-def _witness_pair(spec: GroupSpec) -> tuple[Element, Element]:
+def witness_pair(spec: GroupSpec) -> tuple[Element, Element]:
+    """The generators a and b of the infinite dihedral pair, b the dihedral
+    witness; NoDihedralWitness when there is none, p != 2 included."""
     from .elements import b_letter, gen_a
 
     wit = dihedral_witness(spec) if spec.p == 2 else None
@@ -311,7 +259,7 @@ def zeta(spec: GroupSpec, n: int) -> Ray:
     u_i = 1 - bit_i(g).  Only a and the witness b = (a, b) act, so the
     map is the same for every spec that has a witness.
     """
-    _witness_pair(spec)
+    witness_pair(spec)
     m = 2 * n - 1 if n > 0 else -2 * n
     g = m ^ (m >> 1)
     return make_ray([1 - ((g >> i) & 1) for i in range(g.bit_length())], (1,))
@@ -320,7 +268,7 @@ def zeta(spec: GroupSpec, n: int) -> Ray:
 def zeta_inv(spec: GroupSpec, r: Ray) -> int:
     """The unique n with zeta(n) = r; NotInOrbit when r has a digit outside
     {0, 1} or is not cofinal with the all-ones ray."""
-    _witness_pair(spec)
+    witness_pair(spec)
     r = make_ray(r.pre, r.per)
     if r.per != (1,) or any(d not in (0, 1) for d in r.pre):
         raise NotInOrbit(f"ray {ray_str(r)} is not cofinal with (1)")
@@ -381,7 +329,7 @@ def hq_properness_certificate(spec: GroupSpec, q: int) -> PropernessReport:
     """
     if q < 1 or q % 2 == 0:
         raise EvenQ(f"q must be odd and >= 1, got {q}")
-    a, b = _witness_pair(spec)
+    a, b = witness_pair(spec)
     from .elements import basis_gens, multiply, power, word_str
 
     ab_q = power(multiply(a, b), q)

@@ -4,7 +4,8 @@ Subcommands take a spec file (`p = ...` / `f = ...` lines) plus flags, and
 print deterministic human-readable output; `--records PATH` additionally
 writes line-delimited `key=value` machine records with the fixed schema
 suite, item, status, witness.  Exit codes: 0 success, 1 failed assertion
-or certificate, 2 parse errors.
+or certificate, 2 malformed input (parse errors and argument values out of
+range).
 """
 
 from __future__ import annotations
@@ -42,7 +43,14 @@ from .boundary import (
     hq_properness_certificate,
     schreier_ball,
 )
-from .permq import group_chain, chain_from, stab_in_derived_check, branch_pair_check, density_check, SubgroupDesc
+from .permq import (
+    SubgroupDesc,
+    branch_pair_check,
+    check_level_cap,
+    density_check,
+    group_chain,
+    stab_in_derived_check,
+)
 from .recsys import build_conjugator, conjugation_disagreement_level
 from .analysis import (
     classify,
@@ -192,6 +200,7 @@ def _run(args, rec: _Records) -> int:
         return 0
 
     if cmd == "levels":
+        check_level_cap(spec.p, args.max_level)
         for n in range(1, args.max_level + 1):
             order = group_chain(spec, n).order
             print(f"n={n} order={order}")
@@ -199,6 +208,7 @@ def _run(args, rec: _Records) -> int:
         return 0
 
     if cmd == "density":
+        check_level_cap(spec.p, args.max_level)
         desc = hq(spec, args.q)
         H = SubgroupDesc(f"H{args.q}", list(desc.generators))
         all_dense = True
@@ -334,7 +344,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     rec = _Records(getattr(args, "records", None))
     try:
         code = _run(args, rec)
-    except (WordSyntaxError, SpecFileError) as exc:
+    except (WordSyntaxError, SpecFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SelfsimError as exc:

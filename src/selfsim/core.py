@@ -147,7 +147,6 @@ class GroupSpec:
         "rho_inv_code",
         "omega_code",
         "neg_code",
-        "_trivial_memo",
     )
 
     def __init__(self, p: int, coeffs: Sequence[int]):
@@ -177,7 +176,6 @@ class GroupSpec:
         self._build_tables()
         self._check_cayley_hamilton()
         self._check_faithful()
-        self._trivial_memo: dict[tuple[int, ...], bool] = {}
 
     # -- vector code helpers -------------------------------------------------
 

@@ -327,7 +327,8 @@ def is_trivial(x: Element) -> bool:
     A word is trivial iff its abelianization vanishes, its root exponent is
     zero and all sections are trivial; sections of a word with L >= 2
     letters have at most ceil((L+1)/2) letters, so the recursion halves the
-    length each level and terminates.  Results are memoized per spec.
+    length each level and terminates.  Nothing is cached: contraction
+    alone bounds the work at O(L log L) for L letters.
     """
     return _trivial_rec(x.spec, x.letters)
 
@@ -339,10 +340,6 @@ def _trivial_rec(spec: GroupSpec, letters: Letters) -> bool:
         # Single letters act nontrivially: a-powers move the root level,
         # and the faithfulness check at spec construction covers B.
         return False
-    memo = spec._trivial_memo
-    cached = memo.get(letters)
-    if cached is not None:
-        return cached
     a_sum = 0
     b_code = 0
     for l in letters:
@@ -351,16 +348,9 @@ def _trivial_rec(spec: GroupSpec, letters: Letters) -> bool:
         else:
             b_code = spec.code_add(b_code, l)
     if a_sum % spec.p or b_code:
-        memo[letters] = False
         return False
     _, secs = _wreath_letters(spec, letters)
-    result = True
-    for s in secs:
-        if not _trivial_rec(spec, s):
-            result = False
-            break
-    memo[letters] = result
-    return result
+    return all(_trivial_rec(spec, s) for s in secs)
 
 
 def equal_elements(x: Element, y: Element) -> bool:

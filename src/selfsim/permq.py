@@ -78,6 +78,12 @@ def invert_perm(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_level_cap(p: int, n: int) -> None:
+    """Refuse level n when its degree p^n exceeds ENUMERATION_CAP."""
+    if p**n > ENUMERATION_CAP:
+        raise LevelTooLarge(f"p^n = {p**n} exceeds the cap {ENUMERATION_CAP}")
+
+
 def level_perm(x: Element, n: int) -> LevelPerm:
     """Exact permutation induced on level n, computed by applying each
     letter's transducer to the whole vertex array at once."""
@@ -85,8 +91,7 @@ def level_perm(x: Element, n: int) -> LevelPerm:
     p = spec.p
     if n < 0:
         raise ValueError("level must be >= 0")
-    if p**n > ENUMERATION_CAP:
-        raise LevelTooLarge(f"p^n = {p**n} exceeds the cap {ENUMERATION_CAP}")
+    check_level_cap(p, n)
     N = p**n
     V = np.arange(N, dtype=np.int64)
     if n == 0:
@@ -500,8 +505,7 @@ def chain_from(desc: SubgroupDesc, n: int) -> PivotBasis:
     closure because taking level images is a homomorphism.
     """
     spec = desc.spec
-    if spec.p**n > ENUMERATION_CAP:
-        raise LevelTooLarge(f"p^n = {spec.p**n} exceeds the cap {ENUMERATION_CAP}")
+    check_level_cap(spec.p, n)
     gen_arrays = [level_perm(g, n).images for g in desc.generators]
     ambient = None
     if desc.normal_closure:

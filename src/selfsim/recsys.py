@@ -16,17 +16,16 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GroupSpec, dihedral_witness
-from .errors import EvenQ, NoDihedralWitness, SpecMismatch
+from .core import GroupSpec
+from .errors import EvenQ, SpecMismatch
 from .elements import (
     Element,
-    b_letter,
-    gen_a,
     identity,
     multiply,
     power,
     section_at,
 )
+from .boundary import witness_pair
 from .permq import LevelPerm, invert_perm, level_perm
 
 
@@ -78,11 +77,7 @@ def build_conjugator(spec: GroupSpec, q: int) -> RecSystem:
         raise EvenQ(f"q = {q} must be odd")
     if q < 3:
         raise ValueError("conjugator is defined for q >= 3")
-    w_code = dihedral_witness(spec)
-    if w_code is None:
-        raise NoDihedralWitness("spec has no involutive directed generator pair")
-    a = gen_a(spec)
-    b = b_letter(spec, w_code)
+    a, b = witness_pair(spec)
     w = power(multiply(b, a), (q - 1) // 2)
     eq = RecEquation(0, (w, identity(spec)), ("G0", "G0"))
     return RecSystem(spec, {"G0": eq}, "G0")

@@ -65,7 +65,7 @@ def line_word(spec, rng, length):
     return x
 
 
-def test_hq_frozen(ge, grig):
+def test_hq_frozen(ge, grig, fg):
     desc = hq(ge, 3)
     assert desc.q == 3
     assert desc.witness == (1, 1)
@@ -78,6 +78,9 @@ def test_hq_frozen(ge, grig):
         hq(ge, -1)
     with pytest.raises(NoDihedralWitness):
         hq(grig, 3)
+    # p != 2 has no dihedral pair at all
+    with pytest.raises(NoDihedralWitness):
+        hq(fg, 3)
 
 
 def test_h1_is_everything(ge):

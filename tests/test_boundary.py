@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from brute_force import iterative_zeta
+from brute_force import iterative_zeta, transducer_act_ray
 from selfsim import (
+    Element,
     Ray,
     act_ray,
     all_ones,
@@ -62,8 +63,9 @@ def test_act_ray_frozen(ge):
         assert act_ray(b0, zeta(ge, n)) in (zeta(ge, n), zeta(ge, -n))
     assert act_ray(b0, zeta(ge, 1)) == zeta(ge, 1)
     assert act_ray(b0, zeta(ge, 2)) == zeta(ge, -2)
-    with pytest.raises(ValueError):
-        act_ray(gen_a(ge), make_ray("2", "1"))
+    for x in (gen_a(ge), identity(ge)):
+        with pytest.raises(ValueError):
+            act_ray(x, make_ray("2", "1"))
 
 
 def test_act_ray_composition(ge, grig, fg):
@@ -86,6 +88,32 @@ def test_act_ray_composition(ge, grig, fg):
             assert make_ray(img.pre, img.per) == img
             # and the inverse undoes the action
             assert act_ray(invert(x), act_ray(x, r)) == r
+
+
+def test_act_ray_matches_transducer(ge, grig, fg, dih):
+    """The windowed action against the letter-by-letter transducer, on
+    alternating words of 0-400 letters and rays with (p-1)-tails or mixed
+    periods of length 1-5 after preperiods of length 0-12."""
+    rng = random.Random(4)
+    for spec in (ge, grig, fg, dih, make_spec(2, (1, 0, 0))):
+        p = spec.p
+        for case in range(120):
+            length = rng.choice((0, 1, 2, 3, 5, 8, 13, 40, 120, 400))
+            kind = rng.randrange(2)
+            letters = []
+            for i in range(length):
+                if (i + kind) % 2:
+                    letters.append(-rng.randrange(1, p))
+                else:
+                    letters.append(rng.randrange(1, spec.pm))
+            x = Element(spec, tuple(letters))
+            pre = [rng.randrange(p) for _ in range(rng.randrange(0, 13))]
+            if case % 3 == 0:
+                per = [p - 1]
+            else:
+                per = [rng.randrange(p) for _ in range(rng.randrange(1, 6))]
+            r = make_ray(pre, per)
+            assert act_ray(x, r) == transducer_act_ray(x, r), (x, r)
 
 
 def test_zeta_frozen(ge):

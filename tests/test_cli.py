@@ -177,3 +177,23 @@ def test_error_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["no-such-command", GE])
     capsys.readouterr()
+    # argument values out of range are malformed input too
+    for argv in (
+        ["density", GE, "--q", "-1", "--max", "3"],
+        ["schreier", GE, "--radius", "-1"],
+        ["conjugator", GE, "--q", "1"],
+        ["reduce", GE, "--q", "1", "ab1"],
+        ["eval", GE, "ab0", "--vertex", "5"],
+        ["order", GE, "ab0", "--bound", "0"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+def test_levels_over_cap_refused_up_front(capsys):
+    # 2^21 exceeds the enumeration cap: refused before level 1 is built
+    for argv in (["levels", GE, "--max", "21"], ["density", GE, "--q", "3", "--max", "21"]):
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "LevelTooLarge" in err, argv

@@ -34,13 +34,15 @@ def test_build_conjugator_frozen(ge):
         rec_act_on_vertex(r, "02")
 
 
-def test_conjugator_errors(ge, grig):
+def test_conjugator_errors(ge, grig, fg):
     with pytest.raises(EvenQ):
         build_conjugator(ge, 4)
     with pytest.raises(ValueError):
         build_conjugator(ge, 1)
     with pytest.raises(NoDihedralWitness):
         build_conjugator(grig, 3)
+    with pytest.raises(NoDihedralWitness):
+        build_conjugator(fg, 3)
 
 
 def test_conjugation_carries_line_pair(ge):
