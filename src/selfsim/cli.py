@@ -148,6 +148,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _check_max_level(spec: GroupSpec, max_level: int) -> None:
+    """Refuse a --max that would check nothing or exceed the cap."""
+    if max_level < 1:
+        raise ValueError("--max must be >= 1")
+    check_level_cap(spec.p, max_level)
+
+
 def _run(args, rec: _Records) -> int:
     spec = _load_spec(args.specfile)
     cmd = args.command
@@ -200,7 +207,7 @@ def _run(args, rec: _Records) -> int:
         return 0
 
     if cmd == "levels":
-        check_level_cap(spec.p, args.max_level)
+        _check_max_level(spec, args.max_level)
         for n in range(1, args.max_level + 1):
             order = group_chain(spec, n).order
             print(f"n={n} order={order}")
@@ -208,7 +215,7 @@ def _run(args, rec: _Records) -> int:
         return 0
 
     if cmd == "density":
-        check_level_cap(spec.p, args.max_level)
+        _check_max_level(spec, args.max_level)
         desc = hq(spec, args.q)
         H = SubgroupDesc(f"H{args.q}", list(desc.generators))
         all_dense = True

@@ -11,6 +11,9 @@ wreath power).  The resulting `PivotBasis` gives the order, membership by
 reduction, and kernels of prefix actions as basis tails: a level
 stabilizer is the tail from the first vertex of that depth, a rigid
 stabilizer the tail of a basis built with the outside vertices first.
+The commutator work of the basis is queued as row indices and formed in
+bulk from the stored rows when popped, so its memory is O(rows x V) for
+V label-carrying vertices.
 
 Permutations are numpy int64 arrays `arr` with arr[i] = image of i; as
 functions they compose by fancy indexing: (f o g)[i] = f[g[i]].
@@ -318,8 +321,14 @@ def tree_pivot_basis(
 
     All reduction happens in the label-vector view, where composing with
     a basis power is two fancy indexes over the vertex set and the next
-    pivot is a single argmax; commutators of a fresh basis element with
-    the whole existing basis are batched into a few matrix operations.
+    pivot is a single argmax.  The commutators of a fresh basis element
+    with the earlier rows are queued as its row index alone; when that
+    entry is popped they are formed from the stored rows by a few matrix
+    operations per chunk of rows and reduced before the next entry.  Rows
+    never change once installed, so these commutators and their place in
+    the FIFO order are those of the install step, while memory stays
+    O(rows x V): the row matrices, one chunk, and a queue of row indices
+    plus at most 1 + len(conj_arrays) label vectors per row.
     For p = 2 in breadth-first order the deepest vertex band is elementary
     abelian and holds roughly half the pivots, so material landing there
     is eliminated with bitset arithmetic and band pairs, which commute,
@@ -335,8 +344,8 @@ def tree_pivot_basis(
         cl, cv = _leaf_to_labels(c_leaf, p, n, _rank)
         conj_pairs.append((cl, cv) + _invert_labels(cl, cv, p))
 
-    # one row per installed pivot vertex; the matrices let a new element's
-    # commutators against the whole basis be formed in bulk
+    # one row per installed pivot vertex; the matrices let a row's
+    # commutators against the earlier rows be formed in bulk
     LV = np.zeros((V, V), dtype=np.int16)
     VP = np.zeros((V, V), dtype=np.int64)
     LVI = np.zeros((V, V), dtype=np.int16)
@@ -379,13 +388,53 @@ def tree_pivot_basis(
                 return
             bits ^= row
 
-    work: deque = deque(_leaf_to_labels(arr, p, n, _rank) for arr in gens)
+    # rows per chunk of commutators: each int64 temporary stays within
+    # 64 KiB, which the allocator serves from its heap; larger blocks are
+    # mapped afresh and fault in their pages every time (ge level 10:
+    # 411 k minor faults in whole batches, about 4 k in chunks)
+    chunk = max(1, 8192 // V)
 
-    while work or botwork:
+    def commutators(k):
+        """Nonzero commutators of row k with each earlier row whose support
+        meets it, formed from the stored rows a chunk of rows at a time."""
+        hl, hv, hli, hvi = LV[k], VP[k], LVI[k], VPI[k]
+        meets = np.flatnonzero((TM[:k] & TM[k]).any(axis=1))
+        for c in range(0, meets.size, chunk):
+            inter = meets[c : c + chunk]
+            VPc = VP[inter]
+            t1v = hv[VPc]
+            t2v = np.take_along_axis(VPI[inter], t1v, axis=1)
+            t3v = hvi[t2v]
+            if p == 2:
+                t1l = hl[VPc] ^ LV[inter]
+                t2l = np.take_along_axis(LVI[inter], t1v, axis=1) ^ t1l
+                t3l = hli[t2v] ^ t2l
+            else:
+                t1l = (hl[VPc] + LV[inter]) % p
+                t2l = (np.take_along_axis(LVI[inter], t1v, axis=1) + t1l) % p
+                t3l = (hli[t2v] + t2l) % p
+            for r in np.flatnonzero((t3l != 0).any(axis=1)):
+                yield t3l[r], t3v[r]
+
+    # FIFO work: label vectors, or a row index k standing for the
+    # commutators of row k with the earlier rows, formed only when popped;
+    # `batch` yields the popped row's commutators before the next entry
+    work: deque = deque(_leaf_to_labels(arr, p, n, _rank) for arr in gens)
+    batch = iter(())
+
+    while True:
         if botwork:
             reduce_bits(botwork.popleft())
             continue
-        lv, vp = work.popleft()
+        item = next(batch, None)
+        if item is None:
+            if not work:
+                break
+            item = work.popleft()
+            if isinstance(item, int):
+                batch = commutators(item)
+                continue
+        lv, vp = item
         low = 0
         while low < V:
             seg = lv[low:] != 0
@@ -407,52 +456,36 @@ def tree_pivot_basis(
             hl, hv = lv, vp
             for _ in range(pow(s, -1, p) - 1):
                 hl, hv = _compose(hl, hv, lv, vp, p)
-            hli, hvi = _invert_labels(hl, hv, p)
-            tm = (hl != 0) | (hv != iden_v)
             k = len(key2row)
+            LV[k] = hl
+            VP[k] = hv
+            LVI[k], VPI[k] = _invert_labels(hl, hv, p)
+            TM[k] = (hl != 0) | (hv != iden_v)
+            key2row[idx] = k
+            # refer to the stored row, so no view keeps a popped chunk alive
+            hl, hv = LV[k], VP[k]
             pows = [None, (hl, hv)]
             for _ in range(p - 2):
                 pl, pv = pows[-1]
                 pows.append(_compose(pl, pv, hl, hv, p))
+            row_pows.append(pows)
             pl, pv = pows[p - 1]
             ql, qv = _compose(pl, pv, hl, hv, p)
             if ql.any():
                 work.append((ql, qv))
             if k:
-                inter = np.flatnonzero((TM[:k] & tm).any(axis=1))
-                if inter.size:
-                    VPc = VP[inter]
-                    t1v = hv[VPc]
-                    t2v = np.take_along_axis(VPI[inter], t1v, axis=1)
-                    t3v = hvi[t2v]
-                    if p == 2:
-                        t1l = hl[VPc] ^ LV[inter]
-                        t2l = np.take_along_axis(LVI[inter], t1v, axis=1) ^ t1l
-                        t3l = hli[t2v] ^ t2l
-                    else:
-                        t1l = (hl[VPc] + LV[inter]) % p
-                        t2l = (np.take_along_axis(LVI[inter], t1v, axis=1) + t1l) % p
-                        t3l = (hli[t2v] + t2l) % p
-                    for r in np.flatnonzero((t3l != 0).any(axis=1)):
-                        work.append((t3l[r].copy(), t3v[r].copy()))
+                work.append(k)
             for cl, cv, cli, cvi in conj_pairs:
                 al, av = _compose(hl, hv, cl, cv, p)
                 al, av = _compose(cli, cvi, al, av, p)
                 if not (np.array_equal(al, hl) and np.array_equal(av, hv)):
                     work.append((al, av))
-            bvpi = hvi[bottom0:] - bottom0
+            bvpi = VPI[k, bottom0:] - bottom0
             if bot:
                 M = np.stack([unpack_bits(bot[pb]) for pb in sorted(bot)])
                 CM = M[:, bvpi]
                 for r in np.flatnonzero((CM != M).any(axis=1)):
                     botwork.append(pack_bits(CM[r]))
-            LV[k] = hl
-            VP[k] = hv
-            LVI[k] = hli
-            VPI[k] = hvi
-            TM[k] = tm
-            key2row[idx] = k
-            row_pows.append(pows)
             row_bvpi.append(bvpi)
             break
     # rows in key order; bottom-band rows act on labels only

@@ -170,6 +170,8 @@ def conjugation_disagreement_level(
     """
     if x.spec != r.spec or y.spec != r.spec:
         raise SpecMismatch("elements over a different spec")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     for n in range(1, depth + 1):
         Pr = rec_level_perm(r, n).images
         Px = level_perm(x, n).images

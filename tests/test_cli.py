@@ -185,6 +185,12 @@ def test_error_exit_codes(tmp_path, capsys):
         ["reduce", GE, "--q", "1", "ab1"],
         ["eval", GE, "ab0", "--vertex", "5"],
         ["order", GE, "ab0", "--bound", "0"],
+        # nothing to check would read as a pass
+        ["levels", GE, "--max", "-3"],
+        ["levels", GE, "--max", "0"],
+        ["density", GE, "--q", "3", "--max", "0"],
+        ["conjugator", GE, "--q", "3", "--depth", "-1"],
+        ["conjugator", GE, "--q", "3", "--depth", "0"],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +222,39 @@ def test_chain_determinism(ge):
     for g1, g2 in zip(p1, p2):
         assert np.array_equal(g1, g2)
         assert c1.member(g1)
+
+
+def test_basis_rows_pinned(ge, grig, fg):
+    # derived_chain, rigid_stab_level and _prefix_kernel_gens consume the
+    # rows in this order through pivots(); the digest covers keys, labels
+    # and verts byte for byte
+    pinned = {
+        (ge, 8): "882bfbab9430192454657f068002aa16dcf6b3a0884d7f96b7582f51b83a8bce",
+        (grig, 8): "13b10d511fa30485b580ce7635e5f3d7b8aac6d278807afe4b640c7f5995b7f4",
+        (fg, 5): "a82c94ff32a0321db289ed8abfe78fb6bc07113a23ee654ff0d2e2342266c1a8",
+    }
+    for (spec, n), digest in pinned.items():
+        basis = group_chain(spec, n)
+        h = hashlib.sha256()
+        for arr in (basis.keys, basis.labels, basis.verts):
+            h.update(arr.tobytes())
+        assert h.hexdigest() == digest, (spec, n)
+
+
+def test_basis_memory_is_bounded(ge, grig):
+    # commutator work waits in the queue as row indices, so the traced peak
+    # stays near the row matrices (about 2.2 MB at V = 255) rather than
+    # growing with the number of commutators (2,134 for ge, 3,286 for grig)
+    for spec in (ge, grig):
+        gens = [level_perm(g, 8).images for g in generating_set(spec)]
+        tracemalloc.start()
+        try:
+            basis = tree_pivot_basis(gens, 2, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(basis.keys) == 162
+        assert peak < 4_000_000, (spec, peak)
 
 
 def test_group_chain_cache_is_bounded(ge, grig, fg, dih):
