@@ -267,6 +267,8 @@ def reduction_trace(spec: GroupSpec, q: int, g: Element, max_steps: int = 64) ->
         raise EvenQ(f"q = {q} must be odd")
     if q < 3:
         raise ValueError("descent needs q >= 3")
+    if max_steps < 0:
+        raise ValueError("the step budget must be >= 0")
     a, b = witness_pair(spec)
     ab = multiply(a, b)
     abq = power(ab, q)

@@ -451,6 +451,8 @@ def theta_stabilize(z: Element, max_iter: int = 64) -> tuple[list[Element], Thet
     classification; budget exhaustion is reported in the classification,
     not raised.
     """
+    if max_iter < 0:
+        raise ValueError("the iteration budget must be >= 0")
     spec = z.spec
     if spec.p != 2:
         raise WrongCharacteristic("theta is defined for p = 2")

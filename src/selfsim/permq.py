@@ -11,9 +11,11 @@ wreath power).  The resulting `PivotBasis` gives the order, membership by
 reduction, and kernels of prefix actions as basis tails: a level
 stabilizer is the tail from the first vertex of that depth, a rigid
 stabilizer the tail of a basis built with the outside vertices first.
-The commutator work of the basis is queued as row indices and formed in
-bulk from the stored rows when popped, so its memory is O(rows x V) for
-V label-carrying vertices.
+The basis reduces label vectors packed into one Python int each
+(`_PackedVectors`): a basis row acts by masked rotations of sibling
+blocks and a fieldwise add mod p.  Its commutator work is queued per row
+and formed in bulk from the stored rows when popped, so its memory is
+O(rows x V) for V label-carrying vertices.
 
 Permutations are numpy int64 arrays `arr` with arr[i] = image of i; as
 functions they compose by fancy indexing: (f o g)[i] = f[g[i]].
@@ -225,6 +227,164 @@ def _invert_labels(lv, vp, p: int):
     return (-lv[vpi]) % p, vpi
 
 
+def _verts_from_labels(lv: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Vertex map of the wreath-power element with breadth-first labels
+    lv: child j of a vertex goes to child j + (its label) of the vertex's
+    image."""
+    vp = np.zeros(len(lv), dtype=np.int64)
+    for d in range(n - 1):
+        off, nxt = _depth_start(p, d), _depth_start(p, d + 1)
+        img = (vp[off:nxt] - off)[:, None] * p
+        shift = (np.arange(p, dtype=np.int64) + lv[off:nxt, None]) % p
+        vp[nxt : nxt + p ** (d + 1)] = nxt + (img + shift).ravel()
+    return vp
+
+
+# ---------------------------------------------------------------------------
+# packed label vectors
+
+
+class _PackedVectors:
+    """Label vectors of the n-fold wreath power of Z/p packed into one
+    Python int each, label i in bits [i*F, (i+1)*F).  F = 1 at p = 2,
+    where labels add by xor; for odd p, F = (p-1).bit_length() + 1 leaves
+    a guard bit above 2p - 2, the largest sum of two labels.  Positions
+    are breadth-first unless `rank` reorders the vertices, as in
+    tree_pivot_basis; under `rank` each label takes whole bytes.
+
+    A row power acts on a packed vector X as the product "first the row
+    power, then X": X's labels are gathered through the power's vertex
+    map, then the power's labels are added.  In breadth-first order the
+    gather is a few masked rotations of sibling blocks, one per block
+    width w = p^k for k = n-2-d down to 0 (widest first) when the row is
+    keyed at depth d: at every position whose ancestor k + 1 levels up
+    carries a label s, block j of that ancestor's descendants takes block
+    j + s mod p, that is
+    (X & keep) | ((X >> s*w*F) & lo_s) | ((X << (p-s)*w*F) & hi_s);
+    at p = 2 this is a swap.  Widest first is the order of the gathers
+    through the rotations of the root, then depth 1, and so on.  Under
+    `rank` the positions are not in blocks, and the gather is a fancy
+    index on the bytes."""
+
+    def __init__(self, p: int, n: int, rank: Optional[np.ndarray] = None):
+        self.p, self.n, self.rank = p, n, rank
+        self.V = V = _depth_start(p, n)
+        F = 1 if p == 2 else (p - 1).bit_length() + 1
+        if rank is not None:
+            # whole bytes per label, so a gather is one fancy index on a
+            # byte view of the int
+            F = -(-F // 8) * 8
+            self._fields = np.dtype(f"<u{F // 8}")
+        self.F = F
+        self.fmask = (1 << F) - 1
+        self.full = (1 << V * F) - 1
+        # SWAR add: C = 2^(F-1) - p in every field lifts exactly the sums
+        # of at least p into the guard bit H
+        ones = self.full // self.fmask
+        self._C = ones * ((1 << (F - 1)) - p)
+        self._H = ones << (F - 1)
+        if rank is not None:
+            self._order = invert_perm(rank)
+            return
+        # per block width p^k: for the positions at depth k + 1 and deeper,
+        # the vertex whose label rotates them and their block under it
+        self._blocks = []
+        for k in range(n - 1):
+            anc, dig = [], []
+            for t in range(k + 1, n):
+                i = np.arange(p**t, dtype=np.int64)
+                anc.append(_depth_start(p, t - 1 - k) + i // p ** (k + 1))
+                dig.append(i // p**k % p)
+            self._blocks.append((np.concatenate(anc), np.concatenate(dig)))
+
+    def pack_rows(self, lv: np.ndarray) -> list[int]:
+        """Packed form of each row of a 2-D array of labels (or of any
+        fields below 2^F)."""
+        F = self.F
+        bits = (lv[:, :, None] >> np.arange(F, dtype=lv.dtype)) & 1
+        raw = np.packbits(bits.reshape(len(lv), lv.shape[1] * F), axis=1, bitorder="little")
+        return [int.from_bytes(r.tobytes(), "little") for r in raw]
+
+    def pack(self, lv: np.ndarray) -> int:
+        return self.pack_rows(lv[None])[0]
+
+    def unpack(self, x: int) -> np.ndarray:
+        V, F = self.V, self.F
+        raw = np.frombuffer(x.to_bytes((V * F + 7) // 8, "little"), dtype=np.uint8)
+        bits = np.unpackbits(raw, bitorder="little")[: V * F].reshape(V, F)
+        return (bits.astype(np.int16) << np.arange(F, dtype=np.int16)).sum(
+            axis=1, dtype=np.int16
+        )
+
+    def add(self, x: int, y: int) -> int:
+        """Fieldwise sum mod p: xor at p = 2, otherwise one integer add
+        that then takes p from every field the offset C lifts into H."""
+        if self.p == 2:
+            return x ^ y
+        z = x + y
+        return z - (((z + self._C) & self._H) >> (self.F - 1)) * self.p
+
+    def verts(self, lv: np.ndarray) -> np.ndarray:
+        """The vertex map that the labels determine."""
+        if self.rank is None:
+            return _verts_from_labels(lv, self.p, self.n)
+        rank = self.rank
+        return rank[_verts_from_labels(lv[rank], self.p, self.n)[self._order]]
+
+    def row_action(self, pl: np.ndarray, pv: np.ndarray, key: int):
+        """What `act` needs of the row power with labels pl and vertex map
+        pv, keyed at position `key`: its rotations, or under `rank` its
+        vertex map, and its packed labels."""
+        if self.rank is not None:
+            return pv, self.pack(pl)
+        p, n, F = self.p, self.n, self.F
+        d = 0
+        while _depth_start(p, d + 1) <= key:
+            d += 1
+        rots = []
+        for k in range(n - 2 - d, -1, -1):
+            w = p**k
+            # only positions below depth d can move
+            lo_pos = _depth_start(p, d + 1 + k)
+            cut = lo_pos - _depth_start(p, k + 1)
+            anc, dig = self._blocks[k][0][cut:], self._blocks[k][1][cut:]
+            s = pl[anc]
+            moved = s != 0
+            if not moved.any():
+                continue
+            shifts = np.unique(s[moved]).tolist()
+            masks = [moved]
+            for sv in shifts:
+                lo = (s == sv) & (dig < p - sv)
+                masks += [lo, (s == sv) ^ lo]
+            # a field of ones where a mask is set, placed at lo_pos
+            fields = [
+                m * self.fmask << lo_pos * F
+                for m in self.pack_rows(np.array(masks, dtype=np.int16))
+            ]
+            moves = [
+                (sv * w * F, fields[2 * j + 1], (p - sv) * w * F, fields[2 * j + 2])
+                for j, sv in enumerate(shifts)
+            ]
+            rots.append((self.full ^ fields[0], moves))
+        return rots, self.pack(pl)
+
+    def act(self, action, x: int) -> int:
+        """The packed product "first the row power, then x"."""
+        if self.rank is not None:
+            pv, lab = action
+            raw = x.to_bytes(self.V * self.F // 8, "little")
+            moved = np.frombuffer(raw, dtype=self._fields)[pv]
+            return self.add(int.from_bytes(moved.tobytes(), "little"), lab)
+        rots, lab = action
+        for keep, moves in rots:
+            y = x & keep
+            for down, lo, up, hi in moves:
+                y |= ((x >> down) & lo) | ((x << up) & hi)
+            x = y
+        return self.add(x, lab)
+
+
 # ---------------------------------------------------------------------------
 # the pivot basis
 
@@ -319,16 +479,23 @@ def tree_pivot_basis(
     fix the next pivot vertex's shift), so the group order is
     p ** len(basis).
 
-    All reduction happens in the label-vector view, where composing with
-    a basis power is two fancy indexes over the vertex set and the next
-    pivot is a single argmax.  The commutators of a fresh basis element
-    with the earlier rows are queued as its row index alone; when that
-    entry is popped they are formed from the stored rows by a few matrix
-    operations per chunk of rows and reduced before the next entry.  Rows
-    never change once installed, so these commutators and their place in
-    the FIFO order are those of the install step, while memory stays
-    O(rows x V): the row matrices, one chunk, and a queue of row indices
-    plus at most 1 + len(conj_arrays) label vectors per row.
+    Reduction works on packed label vectors (`_PackedVectors`): one
+    Python int per element with F bits per label.  The next pivot is the
+    lowest set bit divided by F.  A vertex map is never carried: it
+    follows from the labels and is rebuilt only when a row is installed.
+    Multiplying by a row power permutes the labels by a few masked
+    rotations of sibling blocks, widest first, and then adds the power's
+    labels by xor at p = 2 or by a SWAR add mod p; the masks and packed
+    labels of every power are built when its row is installed.
+
+    The commutators of a fresh basis element with the earlier rows are
+    queued as a pending generator; when that entry is popped they are
+    formed from the stored row matrices by a few numpy operations per
+    chunk of rows, packed, and reduced before the next entry.  Rows never
+    change once installed, so these commutators and their place in the
+    FIFO order are those of the install step, while memory stays
+    O(rows x V): the row matrices, one chunk, and a queue of generators
+    plus at most 1 + len(conj_arrays) packed vectors per row.
     For p = 2 in breadth-first order the deepest vertex band is elementary
     abelian and holds roughly half the pivots, so material landing there
     is eliminated with bitset arithmetic and band pairs, which commute,
@@ -343,6 +510,8 @@ def tree_pivot_basis(
     for c_leaf in conj_leaf:
         cl, cv = _leaf_to_labels(c_leaf, p, n, _rank)
         conj_pairs.append((cl, cv) + _invert_labels(cl, cv, p))
+    packed = _PackedVectors(p, n, _rank)
+    F, fmask, pack, act = packed.F, packed.fmask, packed.pack, packed.act
 
     # one row per installed pivot vertex; the matrices let a row's
     # commutators against the earlier rows be formed in bulk
@@ -351,38 +520,39 @@ def tree_pivot_basis(
     LVI = np.zeros((V, V), dtype=np.int16)
     VPI = np.zeros((V, V), dtype=np.int64)
     TM = np.zeros((V, V), dtype=bool)
-    key2row: dict[int, int] = {}
-    row_pows: list[list] = []
-    row_bvpi: list[np.ndarray] = []
+    # the row index of each pivot position, None where there is none yet
+    key2row: list = [None] * V
+    row_acts: list[list] = []
 
     # the band of deepest vertices: for p = 2 its elements are plain bit
-    # vectors (trivial vertex action), handled by integer xor elimination
+    # vectors (trivial vertex action), handled by integer xor elimination;
+    # bot[pb] is the bitset keyed at band position pb and BM[pb] its bits
+    # (rows of zeros where no bitset is keyed)
     bottom0 = _depth_start(p, n - 1) if p == 2 and _rank is None and n else V
     nb = V - bottom0
-    bot: dict[int, int] = {}
+    bot: list = [None] * nb
+    BM = np.zeros((nb, nb), dtype=np.uint8)
     botwork: deque = deque()
-    conj_bvpi = [cvi[bottom0:] - bottom0 for _, _, _, cvi in conj_pairs]
-
-    def unpack_bits(bits):
-        raw = bits.to_bytes((nb + 7) // 8, "little")
-        out = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return out[:nb]
-
-    def pack_bits(mask):
-        return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+    conj_bverts = np.array([cvi[bottom0:] for _, _, _, cvi in conj_pairs], dtype=np.int64)
+    padded = np.zeros(V, dtype=np.uint8)
 
     def install_bottom(pb, bits):
         bot[pb] = bits
-        wb = unpack_bits(bits)
-        for bvpi in row_bvpi + conj_bvpi:
-            c = pack_bits(wb[bvpi])
+        raw = np.frombuffer(bits.to_bytes((nb + 7) // 8, "little"), dtype=np.uint8)
+        BM[pb] = np.unpackbits(raw, bitorder="little")[:nb]
+        # its images under every row's vertex map, then every conjugator's
+        padded[bottom0:] = BM[pb]
+        images = padded[VPI[: len(row_acts), bottom0:]]
+        if len(conj_bverts):
+            images = np.concatenate([images, padded[conj_bverts]])
+        for c in packed.pack_rows(images):
             if c != bits:
                 botwork.append(c)
 
     def reduce_bits(bits):
         while bits:
             pb = (bits & -bits).bit_length() - 1
-            row = bot.get(pb)
+            row = bot[pb]
             if row is None:
                 install_bottom(pb, bits)
                 return
@@ -392,113 +562,103 @@ def tree_pivot_basis(
     # 64 KiB, which the allocator serves from its heap; larger blocks are
     # mapped afresh and fault in their pages every time (ge level 10:
     # 411 k minor faults in whole batches, about 4 k in chunks)
-    chunk = max(1, 8192 // V)
+    chunk = max(1, 8192 // max(V, 1))
 
     def commutators(k):
-        """Nonzero commutators of row k with each earlier row whose support
-        meets it, formed from the stored rows a chunk of rows at a time."""
-        hl, hv, hli, hvi = LV[k], VP[k], LVI[k], VPI[k]
+        """Packed nonzero commutators of row k with each earlier row whose
+        support meets it, formed from the stored rows a chunk at a time."""
+        hl, hv, hli = LV[k], VP[k], LVI[k]
         meets = np.flatnonzero((TM[:k] & TM[k]).any(axis=1))
         for c in range(0, meets.size, chunk):
             inter = meets[c : c + chunk]
             VPc = VP[inter]
             t1v = hv[VPc]
-            t2v = np.take_along_axis(VPI[inter], t1v, axis=1)
-            t3v = hvi[t2v]
+            at = (inter[:, None], t1v)
+            t2v = VPI[at]
             if p == 2:
                 t1l = hl[VPc] ^ LV[inter]
-                t2l = np.take_along_axis(LVI[inter], t1v, axis=1) ^ t1l
+                t2l = LVI[at] ^ t1l
                 t3l = hli[t2v] ^ t2l
             else:
                 t1l = (hl[VPc] + LV[inter]) % p
-                t2l = (np.take_along_axis(LVI[inter], t1v, axis=1) + t1l) % p
+                t2l = (LVI[at] + t1l) % p
                 t3l = (hli[t2v] + t2l) % p
-            for r in np.flatnonzero((t3l != 0).any(axis=1)):
-                yield t3l[r], t3v[r]
+            yield from packed.pack_rows(t3l[(t3l != 0).any(axis=1)])
 
-    # FIFO work: label vectors, or a row index k standing for the
-    # commutators of row k with the earlier rows, formed only when popped;
-    # `batch` yields the popped row's commutators before the next entry
-    work: deque = deque(_leaf_to_labels(arr, p, n, _rank) for arr in gens)
+    def install(idx, s, lv):
+        """Install the element with labels lv, leading shift s at idx, as
+        a row with shift 1 there, and queue its closure work."""
+        vp = packed.verts(lv)
+        hl, hv = lv, vp
+        for _ in range(pow(s, -1, p) - 1):
+            hl, hv = _compose(hl, hv, lv, vp, p)
+        k = len(row_acts)
+        LV[k] = hl
+        VP[k] = hv
+        LVI[k], VPI[k] = _invert_labels(hl, hv, p)
+        TM[k] = (hl != 0) | (hv != iden_v)
+        key2row[idx] = k
+        pows = [None, (hl, hv)]
+        for _ in range(p - 2):
+            pl, pv = pows[-1]
+            pows.append(_compose(pl, pv, hl, hv, p))
+        row_acts.append([None] + [packed.row_action(pl, pv, idx) for pl, pv in pows[1:]])
+        pl, pv = pows[p - 1]
+        ql, _ = _compose(pl, pv, hl, hv, p)
+        if ql.any():
+            work.append(pack(ql))
+        if k:
+            work.append(commutators(k))
+        for cl, cv, cli, cvi in conj_pairs:
+            al, av = _compose(hl, hv, cl, cv, p)
+            al, _ = _compose(cli, cvi, al, av, p)
+            # labels determine the vertex map, so equal labels mean equal
+            if not np.array_equal(al, hl):
+                work.append(pack(al))
+        # the band bitsets in key order, moved by the new row
+        M = BM[BM.any(axis=1)]
+        CM = M[:, VPI[k, bottom0:] - bottom0]
+        botwork.extend(packed.pack_rows(CM[(CM != M).any(axis=1)]))
+
+    # FIFO work: packed label vectors, or the pending generator of a new
+    # row's commutators with the earlier rows; `batch` yields the popped
+    # generator's commutators before the next entry
+    work: deque = deque(pack(_leaf_to_labels(arr, p, n, _rank)[0]) for arr in gens)
     batch = iter(())
 
     while True:
         if botwork:
             reduce_bits(botwork.popleft())
             continue
-        item = next(batch, None)
-        if item is None:
+        x = next(batch, None)
+        if x is None:
             if not work:
                 break
-            item = work.popleft()
-            if isinstance(item, int):
-                batch = commutators(item)
+            x = work.popleft()
+            if not isinstance(x, int):
+                batch = x
                 continue
-        lv, vp = item
-        low = 0
-        while low < V:
-            seg = lv[low:] != 0
-            j = int(seg.argmax())
-            if not seg[j]:
-                break
-            idx = low + j
+        while x:
+            idx = ((x & -x).bit_length() - 1) // F
             if idx >= bottom0:
-                reduce_bits(pack_bits(lv[bottom0:] != 0))
+                reduce_bits(x >> bottom0)
                 break
-            s = int(lv[idx])
-            row = key2row.get(idx)
-            if row is not None:
-                lpw, vpw = row_pows[row][p - s]
-                lv, vp = _compose(lv, vp, lpw, vpw, p)
-                low = idx + 1
-                continue
-            # fresh pivot: normalize its shift to 1, then install
-            hl, hv = lv, vp
-            for _ in range(pow(s, -1, p) - 1):
-                hl, hv = _compose(hl, hv, lv, vp, p)
-            k = len(key2row)
-            LV[k] = hl
-            VP[k] = hv
-            LVI[k], VPI[k] = _invert_labels(hl, hv, p)
-            TM[k] = (hl != 0) | (hv != iden_v)
-            key2row[idx] = k
-            # refer to the stored row, so no view keeps a popped chunk alive
-            hl, hv = LV[k], VP[k]
-            pows = [None, (hl, hv)]
-            for _ in range(p - 2):
-                pl, pv = pows[-1]
-                pows.append(_compose(pl, pv, hl, hv, p))
-            row_pows.append(pows)
-            pl, pv = pows[p - 1]
-            ql, qv = _compose(pl, pv, hl, hv, p)
-            if ql.any():
-                work.append((ql, qv))
-            if k:
-                work.append(k)
-            for cl, cv, cli, cvi in conj_pairs:
-                al, av = _compose(hl, hv, cl, cv, p)
-                al, av = _compose(cli, cvi, al, av, p)
-                if not (np.array_equal(al, hl) and np.array_equal(av, hv)):
-                    work.append((al, av))
-            bvpi = VPI[k, bottom0:] - bottom0
-            if bot:
-                M = np.stack([unpack_bits(bot[pb]) for pb in sorted(bot)])
-                CM = M[:, bvpi]
-                for r in np.flatnonzero((CM != M).any(axis=1)):
-                    botwork.append(pack_bits(CM[r]))
-            row_bvpi.append(bvpi)
-            break
+            s = (x >> idx * F) & fmask
+            row = key2row[idx]
+            if row is None:
+                install(idx, s, packed.unpack(x))
+                break
+            x = act(row_acts[row][p - s], x)
     # rows in key order; bottom-band rows act on labels only
-    top_keys = sorted(key2row)
-    bot_keys = sorted(bot)
-    keys = np.array(top_keys + [bottom0 + pb for pb in bot_keys], dtype=np.int64)
+    top_keys = [key for key in range(bottom0) if key2row[key] is not None]
+    bot_keys = np.flatnonzero(BM.any(axis=1))
+    keys = np.concatenate([np.array(top_keys, dtype=np.int64), bottom0 + bot_keys])
     labels = np.zeros((len(keys), V), dtype=np.int16)
     verts = np.tile(iden_v, (len(keys), 1))
     rows = [key2row[key] for key in top_keys]
     labels[: len(rows)] = LV[rows]
     verts[: len(rows)] = VP[rows]
-    for i, pb in enumerate(bot_keys, start=len(rows)):
-        labels[i, bottom0:] = unpack_bits(bot[pb])
+    labels[len(rows) :, bottom0:] = BM[bot_keys]
     return PivotBasis(p ** len(keys), p, n, keys, labels, verts, _rank)
 
 

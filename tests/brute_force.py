@@ -1,5 +1,10 @@
 """Brute-force oracles for the level quotients: plain product closure of
-permutations, independent of the pivot basis they check."""
+permutations, independent of the pivot basis they check, and the slow
+reduction loop the pivot basis replaced."""
+
+from collections import deque
+
+import numpy as np
 
 
 def closure_elements(arrays):
@@ -104,3 +109,186 @@ def transducer_act_ray(x, r):
     for l in reversed(x.letters):
         r = act_a(-l, r) if l < 0 else act_b(l, r)
     return r
+
+
+def reference_pivot_basis(gen_arrays, p, n, conj_arrays=None, _rank=None):
+    """`tree_pivot_basis` as a numpy reduction loop over unpacked label
+    vectors: each step composes with a basis power by two fancy indexes
+    and finds the next pivot by argmax.  The oracle for the packed-integer
+    reduction, which must return the same keys, labels and verts."""
+    from selfsim.permq import (
+        PivotBasis,
+        _assert_cyclic_blocks,
+        _compose,
+        _depth_start,
+        _invert_labels,
+        _leaf_to_labels,
+    )
+
+    gens = [np.asarray(a, dtype=np.int64) for a in gen_arrays]
+    conj_leaf = [np.asarray(c, dtype=np.int64) for c in (conj_arrays or ())]
+    for arr in gens + conj_leaf:
+        _assert_cyclic_blocks(arr, p, n)
+    V = _depth_start(p, n)
+    iden_v = np.arange(V, dtype=np.int64)
+    conj_pairs = []
+    for c_leaf in conj_leaf:
+        cl, cv = _leaf_to_labels(c_leaf, p, n, _rank)
+        conj_pairs.append((cl, cv) + _invert_labels(cl, cv, p))
+
+    # one row per installed pivot vertex; the matrices let a row's
+    # commutators against the earlier rows be formed in bulk
+    LV = np.zeros((V, V), dtype=np.int16)
+    VP = np.zeros((V, V), dtype=np.int64)
+    LVI = np.zeros((V, V), dtype=np.int16)
+    VPI = np.zeros((V, V), dtype=np.int64)
+    TM = np.zeros((V, V), dtype=bool)
+    key2row: dict[int, int] = {}
+    row_pows: list[list] = []
+    row_bvpi: list[np.ndarray] = []
+
+    # the band of deepest vertices: for p = 2 its elements are plain bit
+    # vectors (trivial vertex action), handled by integer xor elimination
+    bottom0 = _depth_start(p, n - 1) if p == 2 and _rank is None and n else V
+    nb = V - bottom0
+    bot: dict[int, int] = {}
+    botwork: deque = deque()
+    conj_bvpi = [cvi[bottom0:] - bottom0 for _, _, _, cvi in conj_pairs]
+
+    def unpack_bits(bits):
+        raw = bits.to_bytes((nb + 7) // 8, "little")
+        out = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        return out[:nb]
+
+    def pack_bits(mask):
+        return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+    def install_bottom(pb, bits):
+        bot[pb] = bits
+        wb = unpack_bits(bits)
+        for bvpi in row_bvpi + conj_bvpi:
+            c = pack_bits(wb[bvpi])
+            if c != bits:
+                botwork.append(c)
+
+    def reduce_bits(bits):
+        while bits:
+            pb = (bits & -bits).bit_length() - 1
+            row = bot.get(pb)
+            if row is None:
+                install_bottom(pb, bits)
+                return
+            bits ^= row
+
+    # rows per chunk of commutators: each int64 temporary stays within
+    # 64 KiB, which the allocator serves from its heap; larger blocks are
+    # mapped afresh and fault in their pages every time (ge level 10:
+    # 411 k minor faults in whole batches, about 4 k in chunks)
+    chunk = max(1, 8192 // V)
+
+    def commutators(k):
+        """Nonzero commutators of row k with each earlier row whose support
+        meets it, formed from the stored rows a chunk of rows at a time."""
+        hl, hv, hli, hvi = LV[k], VP[k], LVI[k], VPI[k]
+        meets = np.flatnonzero((TM[:k] & TM[k]).any(axis=1))
+        for c in range(0, meets.size, chunk):
+            inter = meets[c : c + chunk]
+            VPc = VP[inter]
+            t1v = hv[VPc]
+            t2v = np.take_along_axis(VPI[inter], t1v, axis=1)
+            t3v = hvi[t2v]
+            if p == 2:
+                t1l = hl[VPc] ^ LV[inter]
+                t2l = np.take_along_axis(LVI[inter], t1v, axis=1) ^ t1l
+                t3l = hli[t2v] ^ t2l
+            else:
+                t1l = (hl[VPc] + LV[inter]) % p
+                t2l = (np.take_along_axis(LVI[inter], t1v, axis=1) + t1l) % p
+                t3l = (hli[t2v] + t2l) % p
+            for r in np.flatnonzero((t3l != 0).any(axis=1)):
+                yield t3l[r], t3v[r]
+
+    # FIFO work: label vectors, or a row index k standing for the
+    # commutators of row k with the earlier rows, formed only when popped;
+    # `batch` yields the popped row's commutators before the next entry
+    work: deque = deque(_leaf_to_labels(arr, p, n, _rank) for arr in gens)
+    batch = iter(())
+
+    while True:
+        if botwork:
+            reduce_bits(botwork.popleft())
+            continue
+        item = next(batch, None)
+        if item is None:
+            if not work:
+                break
+            item = work.popleft()
+            if isinstance(item, int):
+                batch = commutators(item)
+                continue
+        lv, vp = item
+        low = 0
+        while low < V:
+            seg = lv[low:] != 0
+            j = int(seg.argmax())
+            if not seg[j]:
+                break
+            idx = low + j
+            if idx >= bottom0:
+                reduce_bits(pack_bits(lv[bottom0:] != 0))
+                break
+            s = int(lv[idx])
+            row = key2row.get(idx)
+            if row is not None:
+                lpw, vpw = row_pows[row][p - s]
+                lv, vp = _compose(lv, vp, lpw, vpw, p)
+                low = idx + 1
+                continue
+            # fresh pivot: normalize its shift to 1, then install
+            hl, hv = lv, vp
+            for _ in range(pow(s, -1, p) - 1):
+                hl, hv = _compose(hl, hv, lv, vp, p)
+            k = len(key2row)
+            LV[k] = hl
+            VP[k] = hv
+            LVI[k], VPI[k] = _invert_labels(hl, hv, p)
+            TM[k] = (hl != 0) | (hv != iden_v)
+            key2row[idx] = k
+            # refer to the stored row, so no view keeps a popped chunk alive
+            hl, hv = LV[k], VP[k]
+            pows = [None, (hl, hv)]
+            for _ in range(p - 2):
+                pl, pv = pows[-1]
+                pows.append(_compose(pl, pv, hl, hv, p))
+            row_pows.append(pows)
+            pl, pv = pows[p - 1]
+            ql, qv = _compose(pl, pv, hl, hv, p)
+            if ql.any():
+                work.append((ql, qv))
+            if k:
+                work.append(k)
+            for cl, cv, cli, cvi in conj_pairs:
+                al, av = _compose(hl, hv, cl, cv, p)
+                al, av = _compose(cli, cvi, al, av, p)
+                if not (np.array_equal(al, hl) and np.array_equal(av, hv)):
+                    work.append((al, av))
+            bvpi = VPI[k, bottom0:] - bottom0
+            if bot:
+                M = np.stack([unpack_bits(bot[pb]) for pb in sorted(bot)])
+                CM = M[:, bvpi]
+                for r in np.flatnonzero((CM != M).any(axis=1)):
+                    botwork.append(pack_bits(CM[r]))
+            row_bvpi.append(bvpi)
+            break
+    # rows in key order; bottom-band rows act on labels only
+    top_keys = sorted(key2row)
+    bot_keys = sorted(bot)
+    keys = np.array(top_keys + [bottom0 + pb for pb in bot_keys], dtype=np.int64)
+    labels = np.zeros((len(keys), V), dtype=np.int16)
+    verts = np.tile(iden_v, (len(keys), 1))
+    rows = [key2row[key] for key in top_keys]
+    labels[: len(rows)] = LV[rows]
+    verts[: len(rows)] = VP[rows]
+    for i, pb in enumerate(bot_keys, start=len(rows)):
+        labels[i, bottom0:] = unpack_bits(bot[pb])
+    return PivotBasis(p ** len(keys), p, n, keys, labels, verts, _rank)

@@ -191,6 +191,9 @@ def test_error_exit_codes(tmp_path, capsys):
         ["density", GE, "--q", "3", "--max", "0"],
         ["conjugator", GE, "--q", "3", "--depth", "-1"],
         ["conjugator", GE, "--q", "3", "--depth", "0"],
+        # a negative budget would read as exhausted, or go unchecked
+        ["theta", GE, "ab0ab0", "--iters", "-3"],
+        ["reduce", GE, "--q", "3", "ab1", "--max-steps", "-2"],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

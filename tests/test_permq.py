@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brute_force import closure_elements, closure_order
+from brute_force import closure_elements, closure_order, reference_pivot_basis
 from selfsim import (
     LevelPerm,
     SubgroupDesc,
@@ -22,6 +22,7 @@ from selfsim import (
     identity,
     invert,
     level_perm,
+    make_spec,
     multiply,
     parse_word,
     rigid_stab_level,
@@ -29,7 +30,12 @@ from selfsim import (
 )
 from selfsim.permq import (
     _G_CHAIN_CACHE_SIZE,
+    _PackedVectors,
+    _compose,
+    _depth_start,
     _g_chain_cache,
+    _labels_to_leaf,
+    _leaf_to_labels,
     _prefix_kernel_gens,
     branch_group_desc,
     group_desc,
@@ -57,19 +63,39 @@ def brute_elements(spec, n):
     return closure_elements(level_perm(g, n).images for g in generating_set(spec))
 
 
-def random_tree_perm(rng, p, n):
+def random_tree_perm(rng, p, n, support=1.0):
     """Uniform element of the n-fold wreath power of Z/p, built from a
-    random child shift at every vertex (independently of permq)."""
+    random child shift at every vertex (independently of permq); with
+    support < 1 each vertex keeps shift 0 with probability 1 - support."""
     shift = {}
     images = []
     for leaf in range(p**n):
         digits = [(leaf // p ** (n - 1 - d)) % p for d in range(n)]
         img = 0
         for d in range(n):
-            s = shift.setdefault(tuple(digits[:d]), rng.randrange(p))
+            prefix = tuple(digits[:d])
+            if prefix not in shift:
+                live = support >= 1 or rng.random() < support
+                shift[prefix] = rng.randrange(p) if live else 0
+            s = shift[prefix]
             img = img * p + (digits[d] + s) % p
         images.append(img)
     return np.array(images, dtype=np.int64)
+
+
+def random_ancestor_rank(rng, p, n):
+    """A random vertex order listing every vertex after its ancestors, as
+    the position of each breadth-first vertex (children of v are
+    p*v + 1 .. p*v + p)."""
+    V = (p**n - 1) // (p - 1)
+    rank = np.empty(V, dtype=np.int64)
+    ready = [0]
+    for pos in range(V):
+        v = ready.pop(rng.randrange(len(ready)))
+        rank[v] = pos
+        if p * v + 1 < V:
+            ready.extend(range(p * v + 1, p * v + p + 1))
+    return rank
 
 
 def test_level_perm_frozen(ge, grig, fg):
@@ -144,6 +170,9 @@ def test_chain_orders_frozen(ge, grig, fg):
         1 << 22,
     ]
     assert [group_chain(fg, n).order for n in range(1, 4)] == [3, 81, 59049]
+    # level 0 is the root alone: no labelled vertex, the trivial group
+    for spec in (ge, fg):
+        assert group_chain(spec, 0).order == 1
     # successive level images surject, so orders divide upward
     for spec in (ge, grig, fg):
         for n in range(1, 4):
@@ -227,24 +256,56 @@ def test_chain_determinism(ge):
 def test_basis_rows_pinned(ge, grig, fg):
     # derived_chain, rigid_stab_level and _prefix_kernel_gens consume the
     # rows in this order through pivots(); the digest covers keys, labels
-    # and verts byte for byte
+    # and verts byte for byte.  The cases cover both add rules (p = 2 and
+    # odd p), normal closures, derived terms and a reordered vertex rank.
+    fg_gens = [level_perm(g, 4).images for g in generating_set(fg)]
     pinned = {
-        (ge, 8): "882bfbab9430192454657f068002aa16dcf6b3a0884d7f96b7582f51b83a8bce",
-        (grig, 8): "13b10d511fa30485b580ce7635e5f3d7b8aac6d278807afe4b640c7f5995b7f4",
-        (fg, 5): "a82c94ff32a0321db289ed8abfe78fb6bc07113a23ee654ff0d2e2342266c1a8",
+        "ge 8": (
+            lambda: group_chain(ge, 8),
+            "882bfbab9430192454657f068002aa16dcf6b3a0884d7f96b7582f51b83a8bce",
+        ),
+        "grig 8": (
+            lambda: group_chain(grig, 8),
+            "13b10d511fa30485b580ce7635e5f3d7b8aac6d278807afe4b640c7f5995b7f4",
+        ),
+        "fg 5": (
+            lambda: group_chain(fg, 5),
+            "a82c94ff32a0321db289ed8abfe78fb6bc07113a23ee654ff0d2e2342266c1a8",
+        ),
+        "branch closure ge 7": (
+            lambda: chain_from(branch_group_desc(ge), 7),
+            "4398cdee43945594a13e24292639f46fd268240ce3c119d4af8e5938e8060de9",
+        ),
+        "second derived fg 4": (
+            lambda: derived_chain(group_chain(fg, 4), fg_gens, 4, 2),
+            "21d018fd4ae9e5ac626aaa96850f7095b3d46bfd90da9a75a5c467a5f8b804c0",
+        ),
+        "p = 5 level 4": (
+            lambda: group_chain(make_spec(5, (4,)), 4),
+            "aebdf9c7563aa7c96a67a99ec569dc259dee68ec0d8998ab7c9fad8566a6fe31",
+        ),
+        "p = 7 level 3": (
+            lambda: group_chain(make_spec(7, (6,)), 3),
+            "04955ab7ca819744480392606969cff567a8d0b1c6c00c8e51a19a5a69bfbf25",
+        ),
+        "rigid stabilizer ge 6 at 01": (
+            lambda: rigid_stab_level(group_chain(ge, 6), "01", 6),
+            "089642fdaa3487cf35b2821ea9d5b33d321b0787082e5c5253d7ee6b5872d3c7",
+        ),
     }
-    for (spec, n), digest in pinned.items():
-        basis = group_chain(spec, n)
+    for name, (build, digest) in pinned.items():
+        basis = build()
         h = hashlib.sha256()
         for arr in (basis.keys, basis.labels, basis.verts):
             h.update(arr.tobytes())
-        assert h.hexdigest() == digest, (spec, n)
+        assert h.hexdigest() == digest, name
 
 
 def test_basis_memory_is_bounded(ge, grig):
-    # commutator work waits in the queue as row indices, so the traced peak
-    # stays near the row matrices (about 2.2 MB at V = 255) rather than
-    # growing with the number of commutators (2,134 for ge, 3,286 for grig)
+    # commutator work waits in the queue as one pending generator per row,
+    # so the traced peak stays near the row matrices (about 2.2 MB at
+    # V = 255) rather than growing with the number of commutators (2,134
+    # for ge, 3,286 for grig)
     for spec in (ge, grig):
         gens = [level_perm(g, 8).images for g in generating_set(spec)]
         tracemalloc.start()
@@ -255,6 +316,63 @@ def test_basis_memory_is_bounded(ge, grig):
             tracemalloc.stop()
         assert len(basis.keys) == 162
         assert peak < 4_000_000, (spec, peak)
+
+
+def test_pivot_basis_matches_reference():
+    # the packed reduction against the numpy loop it replaced, on random
+    # generator sets: plain, as a normal closure, and in a random vertex
+    # order that lists ancestors first; sparse generators give proper
+    # subgroups, dense ones mostly the whole wreath power; past 40
+    # vertices the slow loop takes seconds, so one density is tried there
+    rng = random.Random(6)
+    for p, top in ((2, 5), (3, 5), (5, 3)):
+        for n in range(2, top + 1):
+            for support in (0.25, 0.5, 1.0) if _depth_start(p, n) <= 40 else (0.25,):
+                gens = [
+                    random_tree_perm(rng, p, n, support)
+                    for _ in range(rng.randint(2, 4))
+                ]
+                conj = [random_tree_perm(rng, p, n, support) for _ in range(2)]
+                rank = random_ancestor_rank(rng, p, n)
+                for kw in ({}, {"conj_arrays": conj}, {"_rank": rank}):
+                    got = tree_pivot_basis(gens, p, n, **kw)
+                    want = reference_pivot_basis(gens, p, n, **kw)
+                    case = (p, n, support, sorted(kw))
+                    assert got.order == want.order, case
+                    for field in ("keys", "labels", "verts"):
+                        a, b = getattr(got, field), getattr(want, field)
+                        assert a.dtype == b.dtype, (case, field)
+                        assert a.tobytes() == b.tobytes(), (case, field)
+
+
+def test_packed_add_and_row_action():
+    rng = np.random.default_rng(5)
+    for p in (2, 3, 5, 7):
+        for n in (3, 4):
+            V = _depth_start(p, n)
+            rank = random_ancestor_rank(random.Random(p * n), p, n)
+            for space in (_PackedVectors(p, n), _PackedVectors(p, n, rank)):
+                x = rng.integers(0, p, (20, V), dtype=np.int16)
+                y = rng.integers(0, p, (20, V), dtype=np.int16)
+                for a, b in zip(x, y):
+                    got = space.add(space.pack(a), space.pack(b))
+                    assert np.array_equal(space.unpack(got), (a + b) % p)
+            # 25 random elements per (p, n), 200 in all: a row power whose
+            # labels vanish before its key acts like the label product
+            for _ in range(25):
+                key = int(rng.integers(0, V))
+                rl = rng.integers(0, p, V, dtype=np.int16)
+                rl[:key] = 0
+                xl = rng.integers(0, p, V, dtype=np.int16)
+                for r in (None, rank):
+                    space = _PackedVectors(p, n, r)
+                    row = _leaf_to_labels(_labels_to_leaf(rl, p, n), p, n, r)
+                    elt = _leaf_to_labels(_labels_to_leaf(xl, p, n), p, n, r)
+                    assert np.array_equal(space.verts(row[0]), row[1])
+                    want = _compose(elt[0], elt[1], row[0], row[1], p)[0]
+                    action = space.row_action(row[0], row[1], key)
+                    got = space.act(action, space.pack(elt[0]))
+                    assert np.array_equal(space.unpack(got), want), (p, n, key, r)
 
 
 def test_group_chain_cache_is_bounded(ge, grig, fg, dih):
