@@ -74,7 +74,6 @@ from .permq import (
     derived_chain,
     group_chain,
     level_perm,
-    rigid_stab_level,
     stab_in_derived_check,
 )
 from .recsys import (

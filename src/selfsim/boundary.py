@@ -327,8 +327,10 @@ def hq_properness_certificate(spec: GroupSpec, q: int) -> PropernessReport:
     For q = 1 all checks run but the conclusion is NOT_PROPER_H1 (the
     subgroup is everything).
     """
-    if q < 1 or q % 2 == 0:
-        raise EvenQ(f"q must be odd and >= 1, got {q}")
+    if q % 2 == 0:
+        raise EvenQ(f"q = {q} must be odd")
+    if q < 1:
+        raise ValueError("q must be positive")
     a, b = witness_pair(spec)
     from .elements import basis_gens, multiply, power, word_str
 

@@ -56,10 +56,6 @@ class Element:
     def __repr__(self) -> str:
         return f"Element({word_str(self)!r})"
 
-    @property
-    def is_identity_word(self) -> bool:
-        return not self.letters
-
 
 @dataclass(frozen=True)
 class WreathForm:

@@ -61,7 +61,7 @@ class NoDihedralWitness(SelfsimError):
 
 
 class EvenQ(SelfsimError):
-    """The exponent q must be odd (and at least 1)."""
+    """The exponent q must be odd."""
 
 
 class NotInOrbit(SelfsimError):

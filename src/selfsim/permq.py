@@ -9,13 +9,13 @@ one cyclic child shift per tree vertex.  A single exact engine,
 vertices (an induced polycyclic sequence along the vertex series of the
 wreath power).  The resulting `PivotBasis` gives the order, membership by
 reduction, and kernels of prefix actions as basis tails: a level
-stabilizer is the tail from the first vertex of that depth, a rigid
-stabilizer the tail of a basis built with the outside vertices first.
-The basis reduces label vectors packed into one Python int each
-(`_PackedVectors`): a basis row acts by masked rotations of sibling
-blocks and a fieldwise add mod p.  Its commutator work is queued per row
-and formed in bulk from the stored rows when popped, so its memory is
-O(rows x V) for V label-carrying vertices.
+stabilizer is the tail from the first vertex of that depth.  Vertices
+are always indexed breadth-first.  Both the build and membership reduce
+label vectors packed into one Python int each (`_PackedVectors`): a basis
+row acts by masked rotations of sibling blocks and a fieldwise add mod p.
+The build queues its commutator work per row and forms it in bulk from
+the stored rows when popped, so its memory is O(rows x V) for V
+label-carrying vertices.
 
 Permutations are numpy int64 arrays `arr` with arr[i] = image of i; as
 functions they compose by fancy indexing: (f o g)[i] = f[g[i]].
@@ -174,14 +174,10 @@ def _depth_start(p: int, d: int) -> int:
     return (p**d - 1) // (p - 1)
 
 
-def _leaf_to_labels(
-    arr: np.ndarray, p: int, n: int, rank: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _leaf_to_labels(arr: np.ndarray, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Label-vector view of a tree-respecting leaf permutation: the cyclic
     shift it applies to each vertex's children and the induced permutation
-    of the vertices themselves.  Vertices are indexed breadth-first, or by
-    position in a vertex order when `rank` (the position of each
-    breadth-first vertex) is given."""
+    of the vertices themselves, both indexed breadth-first."""
     V = _depth_start(p, n)
     lv = np.empty(V, dtype=np.int16)
     vp = np.empty(V, dtype=np.int64)
@@ -192,19 +188,12 @@ def _leaf_to_labels(
         sl = slice(off, off + p**d)
         vp[sl] = off + img // bs
         lv[sl] = (img % bs) // (bs // p)
-    if rank is None:
-        return lv, vp
-    order = invert_perm(rank)
-    return lv[order], rank[vp[order]]
+    return lv, vp
 
 
-def _labels_to_leaf(
-    lv: np.ndarray, p: int, n: int, rank: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _labels_to_leaf(lv: np.ndarray, p: int, n: int) -> np.ndarray:
     """The leaf permutation with the given child shifts (the inverse of
     _leaf_to_labels): each leaf digit moves by the shift at its ancestor."""
-    if rank is not None:
-        lv = lv[rank]
     leaves = np.arange(p**n, dtype=np.int64)
     out = np.zeros_like(leaves)
     for d in range(n):
@@ -249,8 +238,7 @@ class _PackedVectors:
     Python int each, label i in bits [i*F, (i+1)*F).  F = 1 at p = 2,
     where labels add by xor; for odd p, F = (p-1).bit_length() + 1 leaves
     a guard bit above 2p - 2, the largest sum of two labels.  Positions
-    are breadth-first unless `rank` reorders the vertices, as in
-    tree_pivot_basis; under `rank` each label takes whole bytes.
+    are breadth-first.
 
     A row power acts on a packed vector X as the product "first the row
     power, then X": X's labels are gathered through the power's vertex
@@ -262,20 +250,12 @@ class _PackedVectors:
     j + s mod p, that is
     (X & keep) | ((X >> s*w*F) & lo_s) | ((X << (p-s)*w*F) & hi_s);
     at p = 2 this is a swap.  Widest first is the order of the gathers
-    through the rotations of the root, then depth 1, and so on.  Under
-    `rank` the positions are not in blocks, and the gather is a fancy
-    index on the bytes."""
+    through the rotations of the root, then depth 1, and so on."""
 
-    def __init__(self, p: int, n: int, rank: Optional[np.ndarray] = None):
-        self.p, self.n, self.rank = p, n, rank
+    def __init__(self, p: int, n: int):
+        self.p, self.n = p, n
         self.V = V = _depth_start(p, n)
-        F = 1 if p == 2 else (p - 1).bit_length() + 1
-        if rank is not None:
-            # whole bytes per label, so a gather is one fancy index on a
-            # byte view of the int
-            F = -(-F // 8) * 8
-            self._fields = np.dtype(f"<u{F // 8}")
-        self.F = F
+        self.F = F = 1 if p == 2 else (p - 1).bit_length() + 1
         self.fmask = (1 << F) - 1
         self.full = (1 << V * F) - 1
         # SWAR add: C = 2^(F-1) - p in every field lifts exactly the sums
@@ -283,9 +263,6 @@ class _PackedVectors:
         ones = self.full // self.fmask
         self._C = ones * ((1 << (F - 1)) - p)
         self._H = ones << (F - 1)
-        if rank is not None:
-            self._order = invert_perm(rank)
-            return
         # per block width p^k: for the positions at depth k + 1 and deeper,
         # the vertex whose label rotates them and their block under it
         self._blocks = []
@@ -324,19 +301,9 @@ class _PackedVectors:
         z = x + y
         return z - (((z + self._C) & self._H) >> (self.F - 1)) * self.p
 
-    def verts(self, lv: np.ndarray) -> np.ndarray:
-        """The vertex map that the labels determine."""
-        if self.rank is None:
-            return _verts_from_labels(lv, self.p, self.n)
-        rank = self.rank
-        return rank[_verts_from_labels(lv[rank], self.p, self.n)[self._order]]
-
-    def row_action(self, pl: np.ndarray, pv: np.ndarray, key: int):
-        """What `act` needs of the row power with labels pl and vertex map
-        pv, keyed at position `key`: its rotations, or under `rank` its
-        vertex map, and its packed labels."""
-        if self.rank is not None:
-            return pv, self.pack(pl)
+    def row_action(self, pl: np.ndarray, key: int):
+        """What `act` needs of the row power with labels pl, keyed at
+        position `key`: its rotations and its packed labels."""
         p, n, F = self.p, self.n, self.F
         d = 0
         while _depth_start(p, d + 1) <= key:
@@ -371,11 +338,6 @@ class _PackedVectors:
 
     def act(self, action, x: int) -> int:
         """The packed product "first the row power, then x"."""
-        if self.rank is not None:
-            pv, lab = action
-            raw = x.to_bytes(self.V * self.F // 8, "little")
-            moved = np.frombuffer(raw, dtype=self._fields)[pv]
-            return self.add(int.from_bytes(moved.tobytes(), "little"), lab)
         rots, lab = action
         for keep, moves in rots:
             y = x & keep
@@ -392,12 +354,14 @@ class _PackedVectors:
 class PivotBasis(NamedTuple):
     """Triangular basis of a subgroup of the n-fold wreath power of Z/p.
 
-    Row i is an element whose labels vanish before position keys[i] and
-    equal 1 there (positions are breadth-first unless `rank` reorders the
-    vertices).  Every element of the subgroup is a product of powers of the
-    rows in key order, so the order is p ** (number of rows), and the rows
-    from any position on generate the elements whose labels vanish before
-    it.
+    Row i is an element whose breadth-first labels vanish before position
+    keys[i] and equal 1 there; the labels determine its vertex map
+    (`_verts_from_labels`).  Every element of the subgroup is a product of
+    powers of the rows in key order, so the order is p ** (number of
+    rows), and the rows from any position on generate the elements whose
+    labels vanish before it.  acts[i][s] is what `packed.act` needs of
+    the s-th power of row i (s = 1 .. p-1), so membership reduces exactly
+    as the build does.
     """
 
     order: int
@@ -405,12 +369,12 @@ class PivotBasis(NamedTuple):
     n: int
     keys: np.ndarray
     labels: np.ndarray
-    verts: np.ndarray
-    rank: Optional[np.ndarray] = None
+    packed: _PackedVectors
+    acts: list
 
     def pivots(self) -> list[np.ndarray]:
         """The basis elements as leaf permutations."""
-        return [_labels_to_leaf(lv, self.p, self.n, self.rank) for lv in self.labels]
+        return [_labels_to_leaf(lv, self.p, self.n) for lv in self.labels]
 
     def tail(self, start: int) -> "PivotBasis":
         """Basis of the subgroup of elements whose labels vanish at every
@@ -420,14 +384,14 @@ class PivotBasis(NamedTuple):
             order=self.p ** (len(self.keys) - i),
             keys=self.keys[i:],
             labels=self.labels[i:],
-            verts=self.verts[i:],
+            acts=self.acts[i:],
         )
 
     def member(self, perm: Union[LevelPerm, np.ndarray]) -> bool:
         """Exact membership: strip the leading label with a row power until
         nothing is left (member) or no row has that key (not a member).  A
         permutation outside the wreath power is not a member."""
-        p, n = self.p, self.n
+        p, n, keys = self.p, self.n, self.keys
         if isinstance(perm, LevelPerm):
             if perm.n != n:
                 raise LevelMismatch(f"basis level {n}, permutation level {perm.n}")
@@ -440,19 +404,16 @@ class PivotBasis(NamedTuple):
             _assert_cyclic_blocks(arr, p, n)
         except StructureError:
             return False
-        lv, vp = _leaf_to_labels(arr, p, n, self.rank)
-        low = 0
-        while True:
-            nz = np.flatnonzero(lv[low:])
-            if nz.size == 0:
-                return True
-            idx = low + int(nz[0])
-            r = int(np.searchsorted(self.keys, idx))
-            if r == len(self.keys) or self.keys[r] != idx:
+        packed = self.packed
+        F, fmask = packed.F, packed.fmask
+        x = packed.pack(_leaf_to_labels(arr, p, n)[0])
+        while x:
+            idx = ((x & -x).bit_length() - 1) // F
+            r = int(np.searchsorted(keys, idx))
+            if r == len(keys) or keys[r] != idx:
                 return False
-            for _ in range(p - int(lv[idx])):
-                lv, vp = _compose(lv, vp, self.labels[r], self.verts[r], p)
-            low = idx + 1
+            x = packed.act(self.acts[r][p - ((x >> idx * F) & fmask)], x)
+        return True
 
 
 def tree_pivot_basis(
@@ -460,20 +421,18 @@ def tree_pivot_basis(
     p: int,
     n: int,
     conj_arrays: Optional[Sequence[np.ndarray]] = None,
-    _rank: Optional[np.ndarray] = None,
 ) -> PivotBasis:
     """Pivot basis of the permutation group the arrays generate, assuming
     they respect the p-ary tree structure (checked).  With `conj_arrays`
     the subgroup is first closed under conjugation by those permutations,
-    so the result describes a normal closure.  `_rank` gives the position
-    of each breadth-first vertex in another vertex order; it must list
-    every vertex after its ancestors.
+    so the result describes a normal closure.
 
-    Each element's leading shift (first vertex with a nonzero label)
-    sits at a distinct vertex and is normalized to 1.  Incoming material
-    is reduced by multiplying away leading shifts with basis powers;
-    whatever survives becomes a new basis element and is closed against
-    p-th powers, commutators with the existing basis, and the conjugators.
+    Each element's leading shift (first breadth-first vertex with a
+    nonzero label) sits at a distinct vertex and is normalized to 1.
+    Incoming material is reduced by multiplying away leading shifts with
+    basis powers; whatever survives becomes a new basis element and is
+    closed against p-th powers, commutators with the existing basis, and
+    the conjugators.
     Once the work queue drains, the subgroups generated by basis tails
     form a chain with quotients of order exactly p (the tail elements all
     fix the next pivot vertex's shift), so the group order is
@@ -486,7 +445,8 @@ def tree_pivot_basis(
     Multiplying by a row power permutes the labels by a few masked
     rotations of sibling blocks, widest first, and then adds the power's
     labels by xor at p = 2 or by a SWAR add mod p; the masks and packed
-    labels of every power are built when its row is installed.
+    labels of every power are built when its row is installed, and the
+    returned basis keeps them and the packing for `PivotBasis.member`.
 
     The commutators of a fresh basis element with the earlier rows are
     queued as a pending generator; when that entry is popped they are
@@ -496,10 +456,10 @@ def tree_pivot_basis(
     FIFO order are those of the install step, while memory stays
     O(rows x V): the row matrices, one chunk, and a queue of generators
     plus at most 1 + len(conj_arrays) packed vectors per row.
-    For p = 2 in breadth-first order the deepest vertex band is elementary
-    abelian and holds roughly half the pivots, so material landing there
-    is eliminated with bitset arithmetic and band pairs, which commute,
-    are skipped outright."""
+    For p = 2 the deepest vertex band is elementary abelian and holds
+    roughly half the pivots, so material landing there is eliminated with
+    bitset arithmetic and band pairs, which commute, are skipped
+    outright."""
     gens = [np.asarray(a, dtype=np.int64) for a in gen_arrays]
     conj_leaf = [np.asarray(c, dtype=np.int64) for c in (conj_arrays or ())]
     for arr in gens + conj_leaf:
@@ -508,9 +468,9 @@ def tree_pivot_basis(
     iden_v = np.arange(V, dtype=np.int64)
     conj_pairs = []
     for c_leaf in conj_leaf:
-        cl, cv = _leaf_to_labels(c_leaf, p, n, _rank)
+        cl, cv = _leaf_to_labels(c_leaf, p, n)
         conj_pairs.append((cl, cv) + _invert_labels(cl, cv, p))
-    packed = _PackedVectors(p, n, _rank)
+    packed = _PackedVectors(p, n)
     F, fmask, pack, act = packed.F, packed.fmask, packed.pack, packed.act
 
     # one row per installed pivot vertex; the matrices let a row's
@@ -528,7 +488,7 @@ def tree_pivot_basis(
     # vectors (trivial vertex action), handled by integer xor elimination;
     # bot[pb] is the bitset keyed at band position pb and BM[pb] its bits
     # (rows of zeros where no bitset is keyed)
-    bottom0 = _depth_start(p, n - 1) if p == 2 and _rank is None and n else V
+    bottom0 = _depth_start(p, n - 1) if p == 2 and n else V
     nb = V - bottom0
     bot: list = [None] * nb
     BM = np.zeros((nb, nb), dtype=np.uint8)
@@ -588,7 +548,7 @@ def tree_pivot_basis(
     def install(idx, s, lv):
         """Install the element with labels lv, leading shift s at idx, as
         a row with shift 1 there, and queue its closure work."""
-        vp = packed.verts(lv)
+        vp = _verts_from_labels(lv, p, n)
         hl, hv = lv, vp
         for _ in range(pow(s, -1, p) - 1):
             hl, hv = _compose(hl, hv, lv, vp, p)
@@ -602,7 +562,7 @@ def tree_pivot_basis(
         for _ in range(p - 2):
             pl, pv = pows[-1]
             pows.append(_compose(pl, pv, hl, hv, p))
-        row_acts.append([None] + [packed.row_action(pl, pv, idx) for pl, pv in pows[1:]])
+        row_acts.append([None] + [packed.row_action(pl, idx) for pl, _ in pows[1:]])
         pl, pv = pows[p - 1]
         ql, _ = _compose(pl, pv, hl, hv, p)
         if ql.any():
@@ -623,7 +583,7 @@ def tree_pivot_basis(
     # FIFO work: packed label vectors, or the pending generator of a new
     # row's commutators with the earlier rows; `batch` yields the popped
     # generator's commutators before the next entry
-    work: deque = deque(pack(_leaf_to_labels(arr, p, n, _rank)[0]) for arr in gens)
+    work: deque = deque(pack(_leaf_to_labels(arr, p, n)[0]) for arr in gens)
     batch = iter(())
 
     while True:
@@ -649,17 +609,17 @@ def tree_pivot_basis(
                 install(idx, s, packed.unpack(x))
                 break
             x = act(row_acts[row][p - s], x)
-    # rows in key order; bottom-band rows act on labels only
+    # rows in key order; bottom-band rows act on labels only, by an xor
     top_keys = [key for key in range(bottom0) if key2row[key] is not None]
     bot_keys = np.flatnonzero(BM.any(axis=1))
     keys = np.concatenate([np.array(top_keys, dtype=np.int64), bottom0 + bot_keys])
     labels = np.zeros((len(keys), V), dtype=np.int16)
-    verts = np.tile(iden_v, (len(keys), 1))
     rows = [key2row[key] for key in top_keys]
     labels[: len(rows)] = LV[rows]
-    verts[: len(rows)] = VP[rows]
     labels[len(rows) :, bottom0:] = BM[bot_keys]
-    return PivotBasis(p ** len(keys), p, n, keys, labels, verts, _rank)
+    acts = [row_acts[k] for k in rows]
+    acts += [[None, ([], bot[pb] << bottom0)] for pb in bot_keys.tolist()]
+    return PivotBasis(p ** len(keys), p, n, keys, labels, packed, acts)
 
 
 # ---------------------------------------------------------------------------
@@ -819,66 +779,6 @@ def stab_in_derived_check(spec: GroupSpec, n: int) -> StabDerivedReport:
             StabDerivedEntry(ell, depth, kernel_order, derived.order, contained)
         )
     return StabDerivedReport(spec.p, spec.m, n, tuple(entries))
-
-
-def _vertex_index(v: Union[str, Sequence[int]], p: int) -> tuple[int, int]:
-    """Depth of the vertex given by its digit string and its index among
-    the vertices of that depth."""
-    digits = [int(ch) for ch in v] if isinstance(v, str) else [int(c) for c in v]
-    v_int = 0
-    for d in digits:
-        v_int = v_int * p + d
-    return len(digits), v_int
-
-
-def rigid_stab_level(
-    chainG: PivotBasis, v: Union[str, Sequence[int]], n: int
-) -> PivotBasis:
-    """Subgroup of the basis's group supported on the level-n descendants
-    of vertex v: the group is rebased with the vertices outside the
-    subtree of v ordered first, and the rows pivoting inside the subtree
-    are the elements whose labels vanish everywhere outside it."""
-    p = chainG.p
-    depth, v_int = _vertex_index(v, p)
-    if depth >= n and depth > 0:
-        raise ValueError("vertex must be shallower than the level")
-    if chainG.n != n:
-        raise LevelMismatch("basis level does not match n")
-    if depth == 0:
-        return chainG
-    inside = np.zeros(_depth_start(p, n), dtype=bool)
-    for d in range(depth, n):
-        width = p ** (d - depth)
-        first = _depth_start(p, d) + v_int * width
-        inside[first : first + width] = True
-    order = np.concatenate([np.flatnonzero(~inside), np.flatnonzero(inside)])
-    rebased = tree_pivot_basis(chainG.pivots(), p, n, _rank=invert_perm(order))
-    return rebased.tail(int(np.count_nonzero(~inside)))
-
-
-def project_to_subtree(
-    chain_or_gens: Union[PivotBasis, Sequence[np.ndarray]],
-    v: Union[str, Sequence[int]],
-    n: int,
-    p: int,
-) -> list[np.ndarray]:
-    """Restrict permutations supported on the subtree below v to that
-    block, as permutations of p^(n - |v|) points."""
-    gens = (
-        chain_or_gens.pivots()
-        if isinstance(chain_or_gens, PivotBasis)
-        else list(chain_or_gens)
-    )
-    depth, v_int = _vertex_index(v, p)
-    block = p ** (n - depth)
-    start = v_int * block
-    out = []
-    for g in gens:
-        seg = g[start : start + block] - start
-        if seg.min() < 0 or seg.max() >= block:
-            raise StructureError("permutation is not supported on the subtree")
-        out.append(seg)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .elements import (
     section_at,
 )
 from .boundary import witness_pair
-from .permq import LevelPerm, invert_perm, level_perm
+from .permq import LevelPerm, check_level_cap, invert_perm, level_perm
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,7 @@ def conjugation_disagreement_level(
         raise SpecMismatch("elements over a different spec")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    check_level_cap(r.spec.p, depth)
     for n in range(1, depth + 1):
         Pr = rec_level_perm(r, n).images
         Px = level_perm(x, n).images

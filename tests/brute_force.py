@@ -3,6 +3,7 @@ permutations, independent of the pivot basis they check, and the slow
 reduction loop the pivot basis replaced."""
 
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,13 +112,23 @@ def transducer_act_ray(x, r):
     return r
 
 
-def reference_pivot_basis(gen_arrays, p, n, conj_arrays=None, _rank=None):
+class ReferenceBasis(NamedTuple):
+    """The oracle's basis: keys and labels as in `PivotBasis`, and the
+    vertex map of each row as the loop composed it."""
+
+    order: int
+    keys: np.ndarray
+    labels: np.ndarray
+    verts: np.ndarray
+
+
+def reference_pivot_basis(gen_arrays, p, n, conj_arrays=None):
     """`tree_pivot_basis` as a numpy reduction loop over unpacked label
     vectors: each step composes with a basis power by two fancy indexes
     and finds the next pivot by argmax.  The oracle for the packed-integer
-    reduction, which must return the same keys, labels and verts."""
+    reduction, which must return the same keys and labels, and whose
+    composed vertex maps the engine's labels must determine."""
     from selfsim.permq import (
-        PivotBasis,
         _assert_cyclic_blocks,
         _compose,
         _depth_start,
@@ -133,7 +144,7 @@ def reference_pivot_basis(gen_arrays, p, n, conj_arrays=None, _rank=None):
     iden_v = np.arange(V, dtype=np.int64)
     conj_pairs = []
     for c_leaf in conj_leaf:
-        cl, cv = _leaf_to_labels(c_leaf, p, n, _rank)
+        cl, cv = _leaf_to_labels(c_leaf, p, n)
         conj_pairs.append((cl, cv) + _invert_labels(cl, cv, p))
 
     # one row per installed pivot vertex; the matrices let a row's
@@ -149,7 +160,7 @@ def reference_pivot_basis(gen_arrays, p, n, conj_arrays=None, _rank=None):
 
     # the band of deepest vertices: for p = 2 its elements are plain bit
     # vectors (trivial vertex action), handled by integer xor elimination
-    bottom0 = _depth_start(p, n - 1) if p == 2 and _rank is None and n else V
+    bottom0 = _depth_start(p, n - 1) if p == 2 and n else V
     nb = V - bottom0
     bot: dict[int, int] = {}
     botwork: deque = deque()
@@ -211,7 +222,7 @@ def reference_pivot_basis(gen_arrays, p, n, conj_arrays=None, _rank=None):
     # FIFO work: label vectors, or a row index k standing for the
     # commutators of row k with the earlier rows, formed only when popped;
     # `batch` yields the popped row's commutators before the next entry
-    work: deque = deque(_leaf_to_labels(arr, p, n, _rank) for arr in gens)
+    work: deque = deque(_leaf_to_labels(arr, p, n) for arr in gens)
     batch = iter(())
 
     while True:
@@ -291,4 +302,4 @@ def reference_pivot_basis(gen_arrays, p, n, conj_arrays=None, _rank=None):
     verts[: len(rows)] = VP[rows]
     for i, pb in enumerate(bot_keys, start=len(rows)):
         labels[i, bottom0:] = unpack_bits(bot[pb])
-    return PivotBasis(p ** len(keys), p, n, keys, labels, verts, _rank)
+    return ReferenceBasis(p ** len(keys), keys, labels, verts)

@@ -231,5 +231,8 @@ def test_properness_certificate(ge, grig):
     assert not rep1.passed
     with pytest.raises(EvenQ):
         hq_properness_certificate(ge, 4)
+    # -3 is odd: refused as out of range, not as even
+    with pytest.raises(ValueError):
+        hq_properness_certificate(ge, -3)
     with pytest.raises(NoDihedralWitness):
         hq_properness_certificate(grig, 3)

@@ -191,6 +191,7 @@ def test_error_exit_codes(tmp_path, capsys):
         ["density", GE, "--q", "3", "--max", "0"],
         ["conjugator", GE, "--q", "3", "--depth", "-1"],
         ["conjugator", GE, "--q", "3", "--depth", "0"],
+        ["proper", GE, "--q", "-3"],
         # a negative budget would read as exhausted, or go unchecked
         ["theta", GE, "ab0ab0", "--iters", "-3"],
         ["reduce", GE, "--q", "3", "ab1", "--max-steps", "-2"],
@@ -202,7 +203,11 @@ def test_error_exit_codes(tmp_path, capsys):
 
 def test_levels_over_cap_refused_up_front(capsys):
     # 2^21 exceeds the enumeration cap: refused before level 1 is built
-    for argv in (["levels", GE, "--max", "21"], ["density", GE, "--q", "3", "--max", "21"]):
+    for argv in (
+        ["levels", GE, "--max", "21"],
+        ["density", GE, "--q", "3", "--max", "21"],
+        ["conjugator", GE, "--q", "3", "--depth", "21"],
+    ):
         assert main(argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and "LevelTooLarge" in err, argv

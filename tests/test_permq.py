@@ -25,7 +25,6 @@ from selfsim import (
     make_spec,
     multiply,
     parse_word,
-    rigid_stab_level,
     stab_in_derived_check,
 )
 from selfsim.permq import (
@@ -37,10 +36,10 @@ from selfsim.permq import (
     _labels_to_leaf,
     _leaf_to_labels,
     _prefix_kernel_gens,
+    _verts_from_labels,
     branch_group_desc,
     group_desc,
     invert_perm,
-    project_to_subtree,
     tree_pivot_basis,
 )
 from selfsim.errors import (
@@ -63,10 +62,12 @@ def brute_elements(spec, n):
     return closure_elements(level_perm(g, n).images for g in generating_set(spec))
 
 
-def random_tree_perm(rng, p, n, support=1.0):
+def random_tree_perm(rng, p, n, support=1.0, top=0):
     """Uniform element of the n-fold wreath power of Z/p, built from a
     random child shift at every vertex (independently of permq); with
-    support < 1 each vertex keeps shift 0 with probability 1 - support."""
+    support < 1 each vertex keeps shift 0 with probability 1 - support,
+    and every vertex above depth `top` keeps shift 0, so the element
+    fixes level `top`."""
     shift = {}
     images = []
     for leaf in range(p**n):
@@ -75,7 +76,7 @@ def random_tree_perm(rng, p, n, support=1.0):
         for d in range(n):
             prefix = tuple(digits[:d])
             if prefix not in shift:
-                live = support >= 1 or rng.random() < support
+                live = d >= top and (support >= 1 or rng.random() < support)
                 shift[prefix] = rng.randrange(p) if live else 0
             s = shift[prefix]
             img = img * p + (digits[d] + s) % p
@@ -83,19 +84,12 @@ def random_tree_perm(rng, p, n, support=1.0):
     return np.array(images, dtype=np.int64)
 
 
-def random_ancestor_rank(rng, p, n):
-    """A random vertex order listing every vertex after its ancestors, as
-    the position of each breadth-first vertex (children of v are
-    p*v + 1 .. p*v + p)."""
-    V = (p**n - 1) // (p - 1)
-    rank = np.empty(V, dtype=np.int64)
-    ready = [0]
-    for pos in range(V):
-        v = ready.pop(rng.randrange(len(ready)))
-        rank[v] = pos
-        if p * v + 1 < V:
-            ready.extend(range(p * v + 1, p * v + p + 1))
-    return rank
+def basis_verts(basis):
+    """The vertex map of each basis row, as its labels determine it."""
+    out = np.empty(basis.labels.shape, dtype=np.int64)
+    for i, lv in enumerate(basis.labels):
+        out[i] = _verts_from_labels(lv, basis.p, basis.n)
+    return out
 
 
 def test_level_perm_frozen(ge, grig, fg):
@@ -242,6 +236,52 @@ def test_membership_vs_brute_closure(ge, grig):
         basis.member(level_perm(gen_a(grig), 3))
 
 
+def test_membership_oracle_odd_p_and_tails(ge, fg):
+    # member against rebuilding: x lies in the group iff adding it to the
+    # pivots leaves the order unchanged, and the tail from depth d holds
+    # exactly the members that fix level d
+    rng = random.Random(35)
+    for spec, n in ((fg, 3), (make_spec(5, (4,)), 3), (ge, 5)):
+        p, N = spec.p, spec.p**n
+        basis = group_chain(spec, n)
+        rows = basis.pivots()
+        cases = [
+            random_tree_perm(rng, p, n, support)
+            for support in (0.25, 1.0)
+            for _ in range(20)
+        ]
+        for _ in range(20):
+            w = level_perm(random_word(spec, rng, rng.randrange(0, 12)), n).images
+            cases.append(w)
+            # level images of depth d have exponent p^d, so this power
+            # fixes level d: tail members, unless it is the identity
+            for d in range(1, n):
+                y = np.arange(N, dtype=np.int64)
+                for _ in range(p**d):
+                    y = w[y]
+                cases.append(y)
+        # wreath elements fixing level d: mostly tail non-members
+        cases += [
+            random_tree_perm(rng, p, n, 0.25, top=d)
+            for d in range(1, n)
+            for _ in range(10)
+        ]
+        seen = set()
+        for x in cases:
+            inside = tree_pivot_basis(rows + [x], p, n).order == basis.order
+            assert basis.member(x) == inside, (spec, x)
+            for d in range(1, n):
+                block = p ** (n - d)
+                fixes = np.array_equal(x // block, np.arange(N) // block)
+                got = basis.tail(_depth_start(p, d)).member(x)
+                assert got == (inside and fixes), (spec, d, x)
+                seen.add((d, got, inside))
+        # every depth saw members, and outsiders that the whole basis
+        # accepts as well as ones it refuses
+        for d in range(1, n):
+            assert {(d, True, True), (d, False, True), (d, False, False)} <= seen
+
+
 def test_chain_determinism(ge):
     c1 = chain_from(group_desc(ge), 4)
     c2 = chain_from(group_desc(ge), 4)
@@ -254,10 +294,10 @@ def test_chain_determinism(ge):
 
 
 def test_basis_rows_pinned(ge, grig, fg):
-    # derived_chain, rigid_stab_level and _prefix_kernel_gens consume the
-    # rows in this order through pivots(); the digest covers keys, labels
-    # and verts byte for byte.  The cases cover both add rules (p = 2 and
-    # odd p), normal closures, derived terms and a reordered vertex rank.
+    # derived_chain and _prefix_kernel_gens consume the rows in this order
+    # through pivots(); the digest covers keys, labels and the vertex maps
+    # the labels determine, byte for byte.  The cases cover both add rules
+    # (p = 2 and odd p), normal closures and derived terms.
     fg_gens = [level_perm(g, 4).images for g in generating_set(fg)]
     pinned = {
         "ge 8": (
@@ -288,15 +328,11 @@ def test_basis_rows_pinned(ge, grig, fg):
             lambda: group_chain(make_spec(7, (6,)), 3),
             "04955ab7ca819744480392606969cff567a8d0b1c6c00c8e51a19a5a69bfbf25",
         ),
-        "rigid stabilizer ge 6 at 01": (
-            lambda: rigid_stab_level(group_chain(ge, 6), "01", 6),
-            "089642fdaa3487cf35b2821ea9d5b33d321b0787082e5c5253d7ee6b5872d3c7",
-        ),
     }
     for name, (build, digest) in pinned.items():
         basis = build()
         h = hashlib.sha256()
-        for arr in (basis.keys, basis.labels, basis.verts):
+        for arr in (basis.keys, basis.labels, basis_verts(basis)):
             h.update(arr.tobytes())
         assert h.hexdigest() == digest, name
 
@@ -320,10 +356,11 @@ def test_basis_memory_is_bounded(ge, grig):
 
 def test_pivot_basis_matches_reference():
     # the packed reduction against the numpy loop it replaced, on random
-    # generator sets: plain, as a normal closure, and in a random vertex
-    # order that lists ancestors first; sparse generators give proper
-    # subgroups, dense ones mostly the whole wreath power; past 40
-    # vertices the slow loop takes seconds, so one density is tried there
+    # generator sets, plain and as a normal closure; sparse generators
+    # give proper subgroups, dense ones mostly the whole wreath power; past
+    # 40 vertices the slow loop takes seconds, so one density is tried
+    # there.  The oracle composes each row's vertex map, and the engine's
+    # labels must determine the same map.
     rng = random.Random(6)
     for p, top in ((2, 5), (3, 5), (5, 3)):
         for n in range(2, top + 1):
@@ -333,14 +370,14 @@ def test_pivot_basis_matches_reference():
                     for _ in range(rng.randint(2, 4))
                 ]
                 conj = [random_tree_perm(rng, p, n, support) for _ in range(2)]
-                rank = random_ancestor_rank(rng, p, n)
-                for kw in ({}, {"conj_arrays": conj}, {"_rank": rank}):
+                for kw in ({}, {"conj_arrays": conj}):
                     got = tree_pivot_basis(gens, p, n, **kw)
                     want = reference_pivot_basis(gens, p, n, **kw)
                     case = (p, n, support, sorted(kw))
                     assert got.order == want.order, case
-                    for field in ("keys", "labels", "verts"):
-                        a, b = getattr(got, field), getattr(want, field)
+                    fields = {"keys": got.keys, "labels": got.labels, "verts": basis_verts(got)}
+                    for field, a in fields.items():
+                        b = getattr(want, field)
                         assert a.dtype == b.dtype, (case, field)
                         assert a.tobytes() == b.tobytes(), (case, field)
 
@@ -350,13 +387,12 @@ def test_packed_add_and_row_action():
     for p in (2, 3, 5, 7):
         for n in (3, 4):
             V = _depth_start(p, n)
-            rank = random_ancestor_rank(random.Random(p * n), p, n)
-            for space in (_PackedVectors(p, n), _PackedVectors(p, n, rank)):
-                x = rng.integers(0, p, (20, V), dtype=np.int16)
-                y = rng.integers(0, p, (20, V), dtype=np.int16)
-                for a, b in zip(x, y):
-                    got = space.add(space.pack(a), space.pack(b))
-                    assert np.array_equal(space.unpack(got), (a + b) % p)
+            space = _PackedVectors(p, n)
+            x = rng.integers(0, p, (20, V), dtype=np.int16)
+            y = rng.integers(0, p, (20, V), dtype=np.int16)
+            for a, b in zip(x, y):
+                got = space.add(space.pack(a), space.pack(b))
+                assert np.array_equal(space.unpack(got), (a + b) % p)
             # 25 random elements per (p, n), 200 in all: a row power whose
             # labels vanish before its key acts like the label product
             for _ in range(25):
@@ -364,15 +400,12 @@ def test_packed_add_and_row_action():
                 rl = rng.integers(0, p, V, dtype=np.int16)
                 rl[:key] = 0
                 xl = rng.integers(0, p, V, dtype=np.int16)
-                for r in (None, rank):
-                    space = _PackedVectors(p, n, r)
-                    row = _leaf_to_labels(_labels_to_leaf(rl, p, n), p, n, r)
-                    elt = _leaf_to_labels(_labels_to_leaf(xl, p, n), p, n, r)
-                    assert np.array_equal(space.verts(row[0]), row[1])
-                    want = _compose(elt[0], elt[1], row[0], row[1], p)[0]
-                    action = space.row_action(row[0], row[1], key)
-                    got = space.act(action, space.pack(elt[0]))
-                    assert np.array_equal(space.unpack(got), want), (p, n, key, r)
+                row = _leaf_to_labels(_labels_to_leaf(rl, p, n), p, n)
+                elt = _leaf_to_labels(_labels_to_leaf(xl, p, n), p, n)
+                assert np.array_equal(_verts_from_labels(row[0], p, n), row[1])
+                want = _compose(elt[0], elt[1], row[0], row[1], p)[0]
+                got = space.act(space.row_action(row[0], key), space.pack(elt[0]))
+                assert np.array_equal(space.unpack(got), want), (p, n, key)
 
 
 def test_group_chain_cache_is_bounded(ge, grig, fg, dih):
@@ -474,48 +507,6 @@ def test_stab_in_derived_errors(ge, fg, dih):
         stab_in_derived_check(fg, 4)
     with pytest.raises(DegenerateCase):
         stab_in_derived_check(dih, 5)
-
-
-def test_rigid_stab_frozen(ge):
-    chain = group_chain(ge, 3)
-    assert rigid_stab_level(chain, "0", 3).order == 8
-    assert rigid_stab_level(chain, "1", 3).order == 8
-    assert rigid_stab_level(chain, "00", 3).order == 2
-    assert rigid_stab_level(chain, "11", 3).order == 2
-    assert rigid_stab_level(chain, "", 3) is chain
-    with pytest.raises(ValueError):
-        rigid_stab_level(chain, "000", 3)
-
-
-def test_rigid_stab_matches_brute(ge, grig):
-    for spec in (ge, grig):
-        elems = brute_elements(spec, 3)
-        chain = group_chain(spec, 3)
-        for v in ("0", "1", "00", "01", "10", "11"):
-            depth = len(v)
-            block = 2 ** (3 - depth)
-            start = int(v, 2) * block
-            count = sum(
-                1
-                for el in elems
-                if all(el[i] == i for i in range(8) if not start <= i < start + block)
-                and all(start <= el[i] < start + block for i in range(start, start + block))
-            )
-            rist = rigid_stab_level(chain, v, 3)
-            assert rist.order == count
-            for g in rist.pivots():
-                assert chain.member(g)
-                outside = [i for i in range(8) if not start <= i < start + block]
-                assert all(g[i] == i for i in outside)
-
-
-def test_project_to_subtree(ge):
-    chain = group_chain(ge, 3)
-    rist = rigid_stab_level(chain, "1", 3)
-    restricted = project_to_subtree(rist, "1", 3, 2)
-    assert tree_pivot_basis(restricted, 2, 2).order == rist.order
-    with pytest.raises(StructureError):
-        project_to_subtree([level_perm(gen_a(ge), 3).images], "0", 3, 2)
 
 
 def test_branch_group(ge, grig, fg, dih):

@@ -21,7 +21,8 @@ from selfsim import (
     rec_level_perm,
     rec_state_sets,
 )
-from selfsim.errors import EvenQ, NoDihedralWitness, SpecMismatch
+from selfsim import recsys
+from selfsim.errors import EvenQ, LevelTooLarge, NoDihedralWitness, SpecMismatch
 
 
 def test_build_conjugator_frozen(ge):
@@ -64,6 +65,18 @@ def test_conjugation_disagreement(ge, grig):
     assert conjugation_check(r, identity(ge), identity(ge))
     with pytest.raises(SpecMismatch):
         conjugation_check(r, gen_a(grig), a)
+
+
+def test_conjugation_depth_over_cap_refused_up_front(ge, monkeypatch):
+    # 2^21 exceeds the enumeration cap: refused before level 1 is built
+    r = build_conjugator(ge, 3)
+
+    def no_level(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(recsys, "rec_level_perm", no_level)
+    with pytest.raises(LevelTooLarge):
+        conjugation_disagreement_level(r, gen_a(ge), gen_a(ge), depth=21)
 
 
 def test_state_sets_stay_small(ge):
