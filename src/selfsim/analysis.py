@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 from .core import GroupSpec, dihedral_witness, is_torsion
 from .errors import (
     DegenerateCase,
-    EvenQ,
     NotLevelOneStabilized,
     ScreenInconclusive,
     StructureError,
@@ -46,7 +45,7 @@ from .elements import (
     theta,
     word_str,
 )
-from .boundary import certificate_sample, witness_pair, z_action
+from .boundary import certificate_sample, check_odd_q, witness_pair, z_action
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +63,7 @@ class HqDesc:
 
 def hq(spec: GroupSpec, q: int) -> HqDesc:
     """Descriptor of H(q) = <(ab)^q, directed part>, q odd >= 1."""
-    if q % 2 == 0:
-        raise EvenQ(f"q = {q} must be odd")
-    if q < 1:
-        raise ValueError("q must be positive")
+    check_odd_q(q)
     a, b = witness_pair(spec)
     gens = (power(multiply(a, b), q),) + tuple(basis_gens(spec))
     return HqDesc(q, spec.coords_of(b.letters[0]), gens)
@@ -76,10 +72,7 @@ def hq(spec: GroupSpec, q: int) -> HqDesc:
 def hq_stab_gens(spec: GroupSpec, q: int) -> list[Element]:
     """Generators of the level-one stabilizer of H(q): each directed basis
     element x together with its conjugate by a(ba)^(q-1)."""
-    if q % 2 == 0:
-        raise EvenQ(f"q = {q} must be odd")
-    if q < 1:
-        raise ValueError("q must be positive")
+    check_odd_q(q)
     a, b = witness_pair(spec)
     t = multiply(a, power(multiply(b, a), q - 1))
     out = []
@@ -142,10 +135,7 @@ def subdirect_lift(spec: GroupSpec, q: int, g: Element) -> SubdirectLift:
     screened-trivial (da)^(4k) on the left, and a single aba absorbs a
     reflection; 4k + l = qn is solvable since 4 is invertible mod odd q.
     """
-    if q % 2 == 0:
-        raise EvenQ(f"q = {q} must be odd")
-    if q < 1:
-        raise ValueError("q must be positive")
+    check_odd_q(q)
     a, b = witness_pair(spec)
     wc = b.letters[0]
     c_vec, _ = find_cd(spec)
@@ -167,10 +157,7 @@ def subdirect_lift(spec: GroupSpec, q: int, g: Element) -> SubdirectLift:
     s2 = power(acab, 4 * k)
     if eps == 1:
         s2 = multiply(multiply(multiply(a, b), a), s2)
-        k4 = 4 * k
-    else:
-        k4 = 4 * k
-    qn = l + k4
+    qn = l + 4 * k
     s = multiply(s1, s2)
     if root_exponent(s) != 0:
         raise StructureError("lift left the level-one stabilizer")
@@ -263,10 +250,7 @@ def reduction_trace(spec: GroupSpec, q: int, g: Element, max_steps: int = 64) ->
     it at every depth and the whole procedure is heuristic exactly to the
     extent the screen is.
     """
-    if q % 2 == 0:
-        raise EvenQ(f"q = {q} must be odd")
-    if q < 3:
-        raise ValueError("descent needs q >= 3")
+    check_odd_q(q, 3)
     if max_steps < 0:
         raise ValueError("the step budget must be >= 0")
     a, b = witness_pair(spec)

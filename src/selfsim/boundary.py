@@ -250,6 +250,15 @@ def witness_pair(spec: GroupSpec) -> tuple[Element, Element]:
     return gen_a(spec), b_letter(spec, wit)
 
 
+def check_odd_q(q: int, least: int = 1) -> None:
+    """The index q of a line subgroup must be odd (EvenQ) and at least
+    `least` (ValueError)."""
+    if q % 2 == 0:
+        raise EvenQ(f"q = {q} must be odd")
+    if q < least:
+        raise ValueError(f"q must be >= {least}")
+
+
 def zeta(spec: GroupSpec, n: int) -> Ray:
     """The ray (ab)^n applied to the all-ones ray, in O(log|n|).
 
@@ -327,10 +336,7 @@ def hq_properness_certificate(spec: GroupSpec, q: int) -> PropernessReport:
     For q = 1 all checks run but the conclusion is NOT_PROPER_H1 (the
     subgroup is everything).
     """
-    if q % 2 == 0:
-        raise EvenQ(f"q = {q} must be odd")
-    if q < 1:
-        raise ValueError("q must be positive")
+    check_odd_q(q)
     a, b = witness_pair(spec)
     from .elements import basis_gens, multiply, power, word_str
 

@@ -10,11 +10,11 @@ vertices (an induced polycyclic sequence along the vertex series of the
 wreath power).  The resulting `PivotBasis` gives the order, membership by
 reduction, and kernels of prefix actions as basis tails: a level
 stabilizer is the tail from the first vertex of that depth.  Vertices
-are always indexed breadth-first.  Both the build and membership reduce
-label vectors packed into one Python int each (`_PackedVectors`): a basis
-row acts by masked rotations of sibling blocks and a fieldwise add mod p.
-The build queues its commutator work per row and forms it in bulk from
-the stored rows when popped, so its memory is O(rows x V) for V
+are always indexed breadth-first.  Both the build and membership hold
+every label vector packed into one Python int (`_PackedVectors`): a
+basis row acts by masked rotations of sibling blocks and a fieldwise add
+mod p.  The build queues its commutator work per row and forms it from
+the packed rows when popped, so its memory is O(rows x V) for V
 label-carrying vertices.
 
 Permutations are numpy int64 arrays `arr` with arr[i] = image of i; as
@@ -203,14 +203,6 @@ def _labels_to_leaf(lv: np.ndarray, p: int, n: int) -> np.ndarray:
     return out
 
 
-def _compose(l1, v1, l2, v2, p: int):
-    """Label-vector product "first apply (l2, v2)": labels add at the
-    image vertex."""
-    if p == 2:
-        return l1[v2] ^ l2, v1[v2]
-    return (l1[v2] + l2) % p, v1[v2]
-
-
 def _invert_labels(lv, vp, p: int):
     vpi = invert_perm(vp)
     return (-lv[vpi]) % p, vpi
@@ -303,7 +295,8 @@ class _PackedVectors:
 
     def row_action(self, pl: np.ndarray, key: int):
         """What `act` needs of the row power with labels pl, keyed at
-        position `key`: its rotations and its packed labels."""
+        position `key`: its rotations and its packed labels.  Key 0 suits
+        any element of the wreath power."""
         p, n, F = self.p, self.n, self.F
         d = 0
         while _depth_start(p, d + 1) <= key:
@@ -438,24 +431,26 @@ def tree_pivot_basis(
     fix the next pivot vertex's shift), so the group order is
     p ** len(basis).
 
-    Reduction works on packed label vectors (`_PackedVectors`): one
-    Python int per element with F bits per label.  The next pivot is the
-    lowest set bit divided by F.  A vertex map is never carried: it
-    follows from the labels and is rebuilt only when a row is installed.
-    Multiplying by a row power permutes the labels by a few masked
-    rotations of sibling blocks, widest first, and then adds the power's
-    labels by xor at p = 2 or by a SWAR add mod p; the masks and packed
-    labels of every power are built when its row is installed, and the
-    returned basis keeps them and the packing for `PivotBasis.member`.
+    Every element, row and conjugator lives only as a packed label vector
+    (`_PackedVectors`): one Python int with F bits per label.  The next
+    pivot is the lowest set bit divided by F.  A vertex map is never
+    carried: it follows from the labels and is rebuilt only when a row is
+    installed, to invert the row and to find its support.  Multiplying by
+    an element permutes the labels by a few masked rotations of sibling
+    blocks, widest first, and then adds the element's labels by xor at
+    p = 2 or by a SWAR add mod p.  Each row keeps the rotations and labels
+    of its powers and of its inverse, built when it is installed; the
+    returned basis keeps those of the powers and the packing for
+    `PivotBasis.member`.
 
     The commutators of a fresh basis element with the earlier rows are
     queued as a pending generator; when that entry is popped they are
-    formed from the stored row matrices by a few numpy operations per
-    chunk of rows, packed, and reduced before the next entry.  Rows never
-    change once installed, so these commutators and their place in the
-    FIFO order are those of the install step, while memory stays
-    O(rows x V): the row matrices, one chunk, and a queue of generators
-    plus at most 1 + len(conj_arrays) packed vectors per row.
+    formed from the stored rows, three packed products each, and reduced
+    before the next entry.  Rows never change once installed, so these
+    commutators and their place in the FIFO order are those of the
+    install step, while memory stays O(rows x V) for V label-carrying
+    vertices: the rows and a queue of generators plus at most
+    1 + len(conj_arrays) packed vectors per row.
     For p = 2 the deepest vertex band is elementary abelian and holds
     roughly half the pivots, so material landing there is eliminated with
     bitset arithmetic and band pairs, which commute, are skipped
@@ -466,46 +461,42 @@ def tree_pivot_basis(
         _assert_cyclic_blocks(arr, p, n)
     V = _depth_start(p, n)
     iden_v = np.arange(V, dtype=np.int64)
-    conj_pairs = []
-    for c_leaf in conj_leaf:
-        cl, cv = _leaf_to_labels(c_leaf, p, n)
-        conj_pairs.append((cl, cv) + _invert_labels(cl, cv, p))
     packed = _PackedVectors(p, n)
     F, fmask, pack, act = packed.F, packed.fmask, packed.pack, packed.act
+    # each conjugator as the actions of itself and of its inverse
+    conjs, conj_invs = [], []
+    for c_leaf in conj_leaf:
+        cl, cv = _leaf_to_labels(c_leaf, p, n)
+        conjs.append(packed.row_action(cl, 0))
+        conj_invs.append(packed.row_action(_invert_labels(cl, cv, p)[0], 0))
 
-    # one row per installed pivot vertex; the matrices let a row's
-    # commutators against the earlier rows be formed in bulk
-    LV = np.zeros((V, V), dtype=np.int16)
-    VP = np.zeros((V, V), dtype=np.int64)
-    LVI = np.zeros((V, V), dtype=np.int16)
-    VPI = np.zeros((V, V), dtype=np.int64)
-    TM = np.zeros((V, V), dtype=bool)
-    # the row index of each pivot position, None where there is none yet
+    # the row index of each pivot position, None where there is none yet;
+    # per row the actions of its powers 1 .. p-1 and of its inverse, and
+    # its support (the positions it relabels or moves) as a bit mask
     key2row: list = [None] * V
     row_acts: list[list] = []
+    row_invs: list = []
+    row_supports: list[int] = []
 
     # the band of deepest vertices: for p = 2 its elements are plain bit
     # vectors (trivial vertex action), handled by integer xor elimination;
-    # bot[pb] is the bitset keyed at band position pb and BM[pb] its bits
-    # (rows of zeros where no bitset is keyed)
+    # bot[pb] is the bitset keyed at band position pb
     bottom0 = _depth_start(p, n - 1) if p == 2 and n else V
-    nb = V - bottom0
-    bot: list = [None] * nb
-    BM = np.zeros((nb, nb), dtype=np.uint8)
+    bot: list = [None] * (V - bottom0)
     botwork: deque = deque()
-    conj_bverts = np.array([cvi[bottom0:] for _, _, _, cvi in conj_pairs], dtype=np.int64)
-    padded = np.zeros(V, dtype=np.uint8)
+
+    def moved(rots, bits):
+        """The band bitset gathered through a vertex map given by its
+        rotations; the band only exists at p = 2, where adding 0 is an
+        xor."""
+        return act((rots, 0), bits << bottom0) >> bottom0
 
     def install_bottom(pb, bits):
         bot[pb] = bits
-        raw = np.frombuffer(bits.to_bytes((nb + 7) // 8, "little"), dtype=np.uint8)
-        BM[pb] = np.unpackbits(raw, bitorder="little")[:nb]
-        # its images under every row's vertex map, then every conjugator's
-        padded[bottom0:] = BM[pb]
-        images = padded[VPI[: len(row_acts), bottom0:]]
-        if len(conj_bverts):
-            images = np.concatenate([images, padded[conj_bverts]])
-        for c in packed.pack_rows(images):
+        # its images under every row's inverse vertex map, then every
+        # conjugator's
+        for rots, _ in row_invs + conj_invs:
+            c = moved(rots, bits)
             if c != bits:
                 botwork.append(c)
 
@@ -518,67 +509,55 @@ def tree_pivot_basis(
                 return
             bits ^= row
 
-    # rows per chunk of commutators: each int64 temporary stays within
-    # 64 KiB, which the allocator serves from its heap; larger blocks are
-    # mapped afresh and fault in their pages every time (ge level 10:
-    # 411 k minor faults in whole batches, about 4 k in chunks)
-    chunk = max(1, 8192 // max(V, 1))
-
     def commutators(k):
-        """Packed nonzero commutators of row k with each earlier row whose
-        support meets it, formed from the stored rows a chunk at a time."""
-        hl, hv, hli = LV[k], VP[k], LVI[k]
-        meets = np.flatnonzero((TM[:k] & TM[k]).any(axis=1))
-        for c in range(0, meets.size, chunk):
-            inter = meets[c : c + chunk]
-            VPc = VP[inter]
-            t1v = hv[VPc]
-            at = (inter[:, None], t1v)
-            t2v = VPI[at]
-            if p == 2:
-                t1l = hl[VPc] ^ LV[inter]
-                t2l = LVI[at] ^ t1l
-                t3l = hli[t2v] ^ t2l
-            else:
-                t1l = (hl[VPc] + LV[inter]) % p
-                t2l = (LVI[at] + t1l) % p
-                t3l = (hli[t2v] + t2l) % p
-            yield from packed.pack_rows(t3l[(t3l != 0).any(axis=1)])
+        """Packed nonzero commutators "first row j, then row k, then the
+        inverse of row j, then that of row k" of row k with each earlier
+        row j whose support meets it."""
+        hk, hk_inv, sup = row_acts[k][1], row_invs[k][1], row_supports[k]
+        for j in range(k):
+            if row_supports[j] & sup:
+                c = act(row_acts[j][1], act(hk, act(row_invs[j], hk_inv)))
+                if c:
+                    yield c
 
-    def install(idx, s, lv):
-        """Install the element with labels lv, leading shift s at idx, as
-        a row with shift 1 there, and queue its closure work."""
-        vp = _verts_from_labels(lv, p, n)
-        hl, hv = lv, vp
-        for _ in range(pow(s, -1, p) - 1):
-            hl, hv = _compose(hl, hv, lv, vp, p)
+    def install(idx, s, x):
+        """Install the packed element x, leading shift s at idx, as a row
+        with shift 1 there, and queue its closure work."""
+        h = x
+        t = pow(s, -1, p)
+        if t > 1:
+            xa = packed.row_action(packed.unpack(x), idx)
+            for _ in range(t - 1):
+                h = act(xa, h)
+        hl = packed.unpack(h)
+        hv = _verts_from_labels(hl, p, n)
         k = len(row_acts)
-        LV[k] = hl
-        VP[k] = hv
-        LVI[k], VPI[k] = _invert_labels(hl, hv, p)
-        TM[k] = (hl != 0) | (hv != iden_v)
         key2row[idx] = k
-        pows = [None, (hl, hv)]
+        ha = packed.row_action(hl, idx)
+        acts, power = [None, ha], h
         for _ in range(p - 2):
-            pl, pv = pows[-1]
-            pows.append(_compose(pl, pv, hl, hv, p))
-        row_acts.append([None] + [packed.row_action(pl, idx) for pl, _ in pows[1:]])
-        pl, pv = pows[p - 1]
-        ql, _ = _compose(pl, pv, hl, hv, p)
-        if ql.any():
-            work.append(pack(ql))
+            power = act(ha, power)
+            acts.append(packed.row_action(packed.unpack(power), idx))
+        row_acts.append(acts)
+        inv = packed.row_action(_invert_labels(hl, hv, p)[0], idx)
+        row_invs.append(inv)
+        row_supports.append(pack(((hl != 0) | (hv != iden_v)).astype(np.int16)))
+        power = act(ha, power)
+        if power:
+            work.append(power)
         if k:
             work.append(commutators(k))
-        for cl, cv, cli, cvi in conj_pairs:
-            al, av = _compose(hl, hv, cl, cv, p)
-            al, _ = _compose(cli, cvi, al, av, p)
+        for ca, ca_inv in zip(conjs, conj_invs):
+            c = act(ca, act(ha, ca_inv[1]))
             # labels determine the vertex map, so equal labels mean equal
-            if not np.array_equal(al, hl):
-                work.append(pack(al))
+            if c != h:
+                work.append(c)
         # the band bitsets in key order, moved by the new row
-        M = BM[BM.any(axis=1)]
-        CM = M[:, VPI[k, bottom0:] - bottom0]
-        botwork.extend(packed.pack_rows(CM[(CM != M).any(axis=1)]))
+        for bits in bot:
+            if bits is not None:
+                c = moved(inv[0], bits)
+                if c != bits:
+                    botwork.append(c)
 
     # FIFO work: packed label vectors, or the pending generator of a new
     # row's commutators with the earlier rows; `batch` yields the popped
@@ -606,20 +585,17 @@ def tree_pivot_basis(
             s = (x >> idx * F) & fmask
             row = key2row[idx]
             if row is None:
-                install(idx, s, packed.unpack(x))
+                install(idx, s, x)
                 break
             x = act(row_acts[row][p - s], x)
     # rows in key order; bottom-band rows act on labels only, by an xor
     top_keys = [key for key in range(bottom0) if key2row[key] is not None]
-    bot_keys = np.flatnonzero(BM.any(axis=1))
-    keys = np.concatenate([np.array(top_keys, dtype=np.int64), bottom0 + bot_keys])
-    labels = np.zeros((len(keys), V), dtype=np.int16)
-    rows = [key2row[key] for key in top_keys]
-    labels[: len(rows)] = LV[rows]
-    labels[len(rows) :, bottom0:] = BM[bot_keys]
-    acts = [row_acts[k] for k in rows]
-    acts += [[None, ([], bot[pb] << bottom0)] for pb in bot_keys.tolist()]
-    return PivotBasis(p ** len(keys), p, n, keys, labels, packed, acts)
+    bot_keys = [pb for pb, bits in enumerate(bot) if bits is not None]
+    keys = np.array(top_keys + [bottom0 + pb for pb in bot_keys], dtype=np.int64)
+    acts = [row_acts[key2row[key]] for key in top_keys]
+    acts += [[None, ([], bot[pb] << bottom0)] for pb in bot_keys]
+    labels = np.array([packed.unpack(a[1][1]) for a in acts], dtype=np.int16)
+    return PivotBasis(p ** len(keys), p, n, keys, labels.reshape(len(keys), V), packed, acts)
 
 
 # ---------------------------------------------------------------------------
@@ -716,18 +692,7 @@ def derived_chain(
 
 
 # ---------------------------------------------------------------------------
-# kernels of prefix actions
-
-
-def _prefix_kernel_gens(
-    spec: GroupSpec, ell: int, n: int
-) -> tuple[list[np.ndarray], int]:
-    """Generators (as level-n permutations) of the kernel of the map from
-    the level-n image onto the level-ell image, together with the kernel's
-    order: the rows of the level-n basis whose pivot lies at depth >= ell.
-    """
-    kernel = group_chain(spec, n).tail(_depth_start(spec.p, ell))
-    return kernel.pivots(), kernel.order
+# stabilizers in derived terms
 
 
 @dataclass(frozen=True)
@@ -773,8 +738,12 @@ def stab_in_derived_check(spec: GroupSpec, n: int) -> StabDerivedReport:
     entries = []
     for ell, depth in checks:
         derived = derived_chain(chain, gen_arrays, n, depth)
-        kernel_gens, kernel_order = _prefix_kernel_gens(spec, ell, n)
-        contained = all(derived.member(kg) for kg in kernel_gens)
+        # the derived image lies in the level image, so its tail is its
+        # intersection with the stabilizer, which is the stabilizer's
+        # image exactly when the orders agree
+        start = _depth_start(spec.p, ell)
+        kernel_order = chain.tail(start).order
+        contained = derived.tail(start).order == kernel_order
         entries.append(
             StabDerivedEntry(ell, depth, kernel_order, derived.order, contained)
         )

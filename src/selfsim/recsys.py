@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import GroupSpec
-from .errors import EvenQ, SpecMismatch
+from .errors import SpecMismatch
 from .elements import (
     Element,
     identity,
@@ -25,7 +25,7 @@ from .elements import (
     power,
     section_at,
 )
-from .boundary import witness_pair
+from .boundary import check_odd_q, witness_pair
 from .permq import LevelPerm, check_level_cap, invert_perm, level_perm
 
 
@@ -73,10 +73,7 @@ def build_conjugator(spec: GroupSpec, q: int) -> RecSystem:
     """The automorphism g with sections ((ba)^((q-1)/2) g, g) at a trivial
     root, where b is the dihedral witness.  Conjugation by g carries the
     index-q line subgroup's generating pair onto standard generators."""
-    if q % 2 == 0:
-        raise EvenQ(f"q = {q} must be odd")
-    if q < 3:
-        raise ValueError("conjugator is defined for q >= 3")
+    check_odd_q(q, 3)
     a, b = witness_pair(spec)
     w = power(multiply(b, a), (q - 1) // 2)
     eq = RecEquation(0, (w, identity(spec)), ("G0", "G0"))

@@ -122,6 +122,14 @@ class ReferenceBasis(NamedTuple):
     verts: np.ndarray
 
 
+def _compose(l1, v1, l2, v2, p: int):
+    """Label-vector product "first apply (l2, v2)": labels add at the
+    image vertex."""
+    if p == 2:
+        return l1[v2] ^ l2, v1[v2]
+    return (l1[v2] + l2) % p, v1[v2]
+
+
 def reference_pivot_basis(gen_arrays, p, n, conj_arrays=None):
     """`tree_pivot_basis` as a numpy reduction loop over unpacked label
     vectors: each step composes with a basis power by two fancy indexes
@@ -130,7 +138,6 @@ def reference_pivot_basis(gen_arrays, p, n, conj_arrays=None):
     composed vertex maps the engine's labels must determine."""
     from selfsim.permq import (
         _assert_cyclic_blocks,
-        _compose,
         _depth_start,
         _invert_labels,
         _leaf_to_labels,

@@ -106,6 +106,10 @@ def test_hq_stab_gens(ge):
             assert root_exponent(s) == 0
             # members must never be screened out
             assert line_screen(ge, q, s)
+    with pytest.raises(EvenQ):
+        hq_stab_gens(ge, 2)
+    with pytest.raises(ValueError):
+        hq_stab_gens(ge, -1)
 
 
 def test_line_screen_frozen(ge):
@@ -155,6 +159,8 @@ def test_subdirect_lift(ge):
             assert line_screen(ge, q, lift.h1)
     with pytest.raises(EvenQ):
         subdirect_lift(ge, 2, a)
+    with pytest.raises(ValueError):
+        subdirect_lift(ge, -1, a)
 
 
 def test_lambda_form_frozen(ge):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brute_force import closure_elements, closure_order, reference_pivot_basis
+from brute_force import _compose, closure_elements, closure_order, reference_pivot_basis
 from selfsim import (
     LevelPerm,
     SubgroupDesc,
@@ -30,12 +30,10 @@ from selfsim import (
 from selfsim.permq import (
     _G_CHAIN_CACHE_SIZE,
     _PackedVectors,
-    _compose,
     _depth_start,
     _g_chain_cache,
     _labels_to_leaf,
     _leaf_to_labels,
-    _prefix_kernel_gens,
     _verts_from_labels,
     branch_group_desc,
     group_desc,
@@ -294,10 +292,10 @@ def test_chain_determinism(ge):
 
 
 def test_basis_rows_pinned(ge, grig, fg):
-    # derived_chain and _prefix_kernel_gens consume the rows in this order
-    # through pivots(); the digest covers keys, labels and the vertex maps
-    # the labels determine, byte for byte.  The cases cover both add rules
-    # (p = 2 and odd p), normal closures and derived terms.
+    # derived_chain consumes the rows in this order through pivots(); the
+    # digest covers keys, labels and the vertex maps the labels determine,
+    # byte for byte.  The cases cover both add rules (p = 2 and odd p),
+    # normal closures and derived terms.
     fg_gens = [level_perm(g, 4).images for g in generating_set(fg)]
     pinned = {
         "ge 8": (
@@ -338,20 +336,35 @@ def test_basis_rows_pinned(ge, grig, fg):
 
 
 def test_basis_memory_is_bounded(ge, grig):
-    # commutator work waits in the queue as one pending generator per row,
-    # so the traced peak stays near the row matrices (about 2.2 MB at
-    # V = 255) rather than growing with the number of commutators (2,134
-    # for ge, 3,286 for grig)
-    for spec in (ge, grig):
-        gens = [level_perm(g, 8).images for g in generating_set(spec)]
-        tracemalloc.start()
-        try:
-            basis = tree_pivot_basis(gens, 2, 8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(basis.keys) == 162
-        assert peak < 4_000_000, (spec, peak)
+    # rows live only as packed integers and commutator work waits in the
+    # queue as one pending generator per row, so the traced peak grows
+    # with the rows (0.4 MB at V = 255, 1.2 MB at V = 511) rather than
+    # with V squared or with the number of commutators (2,134 for ge,
+    # 3,286 for grig at level 8)
+    for n, rows, bound in ((8, 162, 4_000_000), (9, 322, 2_000_000)):
+        for spec in (ge, grig):
+            gens = [level_perm(g, n).images for g in generating_set(spec)]
+            tracemalloc.start()
+            try:
+                basis = tree_pivot_basis(gens, 2, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(basis.keys) == rows
+            assert peak < bound, (spec, n, peak)
+
+
+def test_deep_level_memory(dih):
+    # 65,535 label-carrying vertices but only 17 rows: the build must not
+    # allocate anything of size V squared
+    tracemalloc.start()
+    try:
+        order = group_chain(dih, 16).order
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert order == 2**17
+    assert peak < 64_000_000, peak
 
 
 def test_pivot_basis_matches_reference():
@@ -483,9 +496,28 @@ def test_derived_chain_vs_brute(grig, fg):
 
 def test_prefix_kernel_order(ge, grig, fg):
     for spec, ell, n in ((ge, 1, 3), (ge, 2, 4), (grig, 1, 4), (fg, 1, 2)):
-        _, order = _prefix_kernel_gens(spec, ell, n)
+        kernel = group_chain(spec, n).tail(_depth_start(spec.p, ell))
         expected = group_chain(spec, n).order // group_chain(spec, ell).order
-        assert order == expected
+        assert kernel.order == expected
+
+
+def test_stab_in_derived_orders_vs_membership(ge, grig, fg):
+    # Stab(ell) lies in the derived image D exactly when D's tail from the
+    # first vertex at depth ell has the order of the whole image's tail;
+    # the slow criterion tests every kernel row for membership in D
+    seen = set()
+    for spec, n, depths in ((ge, 8, (1,)), (grig, 8, (1,)), (fg, 5, (1, 2))):
+        chain = group_chain(spec, n)
+        gens = [level_perm(g, n).images for g in generating_set(spec)]
+        for depth in depths:
+            derived = derived_chain(chain, gens, n, depth)
+            for ell in range(1, n):
+                start = _depth_start(spec.p, ell)
+                by_order = derived.tail(start).order == chain.tail(start).order
+                by_member = all(derived.member(k) for k in chain.tail(start).pivots())
+                assert by_order == by_member, (spec, n, depth, ell)
+                seen.add(by_order)
+    assert seen == {True, False}
 
 
 def test_stab_in_derived(ge, grig, fg):
