@@ -197,11 +197,17 @@ class GroupSpec:
         return tuple(out)
 
     def code_add(self, c1: int, c2: int) -> int:
-        if self.p == 2:
+        p = self.p
+        if p == 2:
             return c1 ^ c2
-        v1 = self.coords_of(c1)
-        v2 = self.coords_of(c2)
-        return self.code_of([a + b for a, b in zip(v1, v2)])
+        out = 0
+        scale = 1
+        while c1 or c2:
+            c1, d1 = divmod(c1, p)
+            c2, d2 = divmod(c2, p)
+            out += (d1 + d2) % p * scale
+            scale *= p
+        return out
 
     def _build_tables(self) -> None:
         p, m, pm = self.p, self.m, self.pm

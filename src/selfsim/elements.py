@@ -16,6 +16,7 @@ The empty tuple is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import xor
 from typing import Optional, Sequence, Union
 
 from .core import BVec, GroupSpec
@@ -227,38 +228,35 @@ def _wreath_letters(spec: GroupSpec, letters: Letters) -> tuple[int, tuple[Lette
     """Root exponent and raw section words, computed by one right-to-left
     pass.  Sections come back in normal form."""
     p = spec.p
+    add = xor if p == 2 else spec.code_add
+    rho_code = spec.rho_code
+    omega_code = spec.omega_code
     root = 0
+    # Each section is built reversed, so a letter is prepended by appending
+    # it and merging it with the last one kept.
     revsecs: list[list[int]] = [[] for _ in range(p)]
-
-    def prepend(idx: int, letter: int) -> None:
-        revsec = revsecs[idx]
-        if revsec:
-            last = revsec[-1]
-            if last < 0 and letter < 0:
-                e = ((-last) + (-letter)) % p
-                revsec.pop()
-                if e:
-                    revsec.append(-e)
-                return
-            if last > 0 and letter > 0:
-                c = spec.code_add(last, letter)
-                revsec.pop()
-                if c:
-                    revsec.append(c)
-                return
-        revsec.append(letter)
-
     for l in reversed(letters):
         if l < 0:
-            root = (root + (-l)) % p
-        else:
-            # The letter contributes a^omega(v) at the child that the
-            # current suffix sends to 0, and rho(v) at the child sent
-            # to p-1.
-            w = spec.omega_code[l]
+            root -= l
+            if root >= p:
+                root -= p
+            continue
+        # The letter contributes a^omega(v) at the child that the current
+        # suffix sends to 0 (index -root is (-root) mod p), and rho(v) at
+        # the child sent to p-1.
+        w = omega_code[l]
+        if w:
+            rs = revsecs[-root]
+            if rs and rs[-1] < 0:
+                w = (w - rs.pop()) % p
             if w:
-                prepend((-root) % p, -w)
-            prepend((p - 1 - root) % p, spec.rho_code[l])
+                rs.append(-w)
+        rs = revsecs[p - 1 - root]
+        v = rho_code[l]
+        if rs and rs[-1] > 0:
+            v = add(rs.pop(), v)
+        if v:
+            rs.append(v)
     return root, tuple(tuple(reversed(rs)) for rs in revsecs)
 
 
@@ -320,11 +318,12 @@ def act_on_vertex(x: Element, v: Union[str, Sequence[int]]) -> Union[str, tuple[
 def is_trivial(x: Element) -> bool:
     """Exact word-problem decision by contraction.
 
-    A word is trivial iff its abelianization vanishes, its root exponent is
-    zero and all sections are trivial; sections of a word with L >= 2
-    letters have at most ceil((L+1)/2) letters, so the recursion halves the
-    length each level and terminates.  Nothing is cached: contraction
-    alone bounds the work at O(L log L) for L letters.
+    A tree automorphism is trivial iff its root exponent is 0 and every
+    section is trivial, so the decision recurses through the wreath
+    decomposition.  The sections of one level total at most L + 1 letters
+    for a word of L letters, and a section of a word with L >= 3 letters
+    has at most ceil((L+1)/2) letters, so the depth is O(log L) and the
+    work O(L log L).  Nothing is cached: contraction alone bounds it.
     """
     return _trivial_rec(x.spec, x.letters)
 
@@ -336,17 +335,8 @@ def _trivial_rec(spec: GroupSpec, letters: Letters) -> bool:
         # Single letters act nontrivially: a-powers move the root level,
         # and the faithfulness check at spec construction covers B.
         return False
-    a_sum = 0
-    b_code = 0
-    for l in letters:
-        if l < 0:
-            a_sum += -l
-        else:
-            b_code = spec.code_add(b_code, l)
-    if a_sum % spec.p or b_code:
-        return False
-    _, secs = _wreath_letters(spec, letters)
-    return all(_trivial_rec(spec, s) for s in secs)
+    root, secs = _wreath_letters(spec, letters)
+    return not root and all(_trivial_rec(spec, s) for s in secs)
 
 
 def equal_elements(x: Element, y: Element) -> bool:

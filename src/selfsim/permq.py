@@ -256,7 +256,8 @@ class _PackedVectors:
         self._C = ones * ((1 << (F - 1)) - p)
         self._H = ones << (F - 1)
         # per block width p^k: for the positions at depth k + 1 and deeper,
-        # the vertex whose label rotates them and their block under it
+        # the vertex whose label rotates them (int32, as V < 2^31) and their
+        # block under it (a digit below p, in the least dtype that holds it)
         self._blocks = []
         for k in range(n - 1):
             anc, dig = [], []
@@ -264,7 +265,8 @@ class _PackedVectors:
                 i = np.arange(p**t, dtype=np.int64)
                 anc.append(_depth_start(p, t - 1 - k) + i // p ** (k + 1))
                 dig.append(i // p**k % p)
-            self._blocks.append((np.concatenate(anc), np.concatenate(dig)))
+            anc, dig = np.concatenate(anc), np.concatenate(dig)
+            self._blocks.append((anc.astype(np.int32), dig.astype(np.min_scalar_type(p - 1))))
 
     def pack_rows(self, lv: np.ndarray) -> list[int]:
         """Packed form of each row of a 2-D array of labels (or of any

@@ -1,6 +1,6 @@
-"""Brute-force oracles for the level quotients: plain product closure of
-permutations, independent of the pivot basis they check, and the slow
-reduction loop the pivot basis replaced."""
+"""Brute-force oracles: plain product closure of permutations, independent
+of the pivot basis they check, the slow reduction loop the pivot basis
+replaced, and the nested wreath pass the flat letter loop replaced."""
 
 from collections import deque
 from typing import NamedTuple
@@ -34,6 +34,48 @@ def closure_order(perms) -> int:
     """Brute-force product closure cardinality of LevelPerms; the
     independent oracle for basis orders at small degree."""
     return len(closure_elements(perm.images for perm in perms))
+
+
+def reference_wreath_letters(spec, letters):
+    """Root exponent and normal-form section words of a letter tuple, by one
+    right-to-left pass that prepends each contribution through a nested
+    helper and adds B-letters coordinate-wise; the oracle for
+    `elements._wreath_letters`."""
+    p = spec.p
+    root = 0
+    revsecs = [[] for _ in range(p)]
+
+    def add(c1, c2):
+        v1, v2 = spec.coords_of(c1), spec.coords_of(c2)
+        return spec.code_of([a + b for a, b in zip(v1, v2)])
+
+    def prepend(idx, letter):
+        revsec = revsecs[idx]
+        if revsec:
+            last = revsec[-1]
+            if last < 0 and letter < 0:
+                e = ((-last) + (-letter)) % p
+                revsec.pop()
+                if e:
+                    revsec.append(-e)
+                return
+            if last > 0 and letter > 0:
+                c = add(last, letter)
+                revsec.pop()
+                if c:
+                    revsec.append(c)
+                return
+        revsec.append(letter)
+
+    for l in reversed(letters):
+        if l < 0:
+            root = (root + (-l)) % p
+        else:
+            w = spec.omega_code[l]
+            if w:
+                prepend((-root) % p, -w)
+            prepend((p - 1 - root) % p, spec.rho_code[l])
+    return root, tuple(tuple(reversed(rs)) for rs in revsecs)
 
 
 def iterative_zeta(spec, bound):

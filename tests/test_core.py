@@ -177,3 +177,23 @@ def test_parse_spec_file_errors():
 def test_code_coords_inverse(fg):
     for code in range(fg.pm):
         assert fg.code_of(fg.coords_of(code)) == code
+
+
+def test_code_add_matches_coordinates():
+    # every pair of codes while p^m <= 125, a seeded sample beyond
+    rng = random.Random(18)
+    for p in (2, 3, 5, 7):
+        for m in (1, 2, 3):
+            spec = make_spec(p, [1] * m)
+            if spec.pm <= 125:
+                pairs = [(u, v) for u in range(spec.pm) for v in range(spec.pm)]
+            else:
+                pairs = [(0, 0)] + [
+                    (rng.randrange(spec.pm), rng.randrange(spec.pm)) for _ in range(2000)
+                ]
+                pairs += [(0, v) for v, _ in pairs] + [(u, 0) for u, _ in pairs]
+            for u, v in pairs:
+                want = spec.code_of(
+                    [a + b for a, b in zip(spec.coords_of(u), spec.coords_of(v))]
+                )
+                assert spec.code_add(u, v) == want, (p, m, u, v)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from brute_force import reference_wreath_letters
 from selfsim import (
     AbelImage,
     Element,
@@ -23,6 +24,7 @@ from selfsim import (
     invert,
     is_trivial,
     level_perm,
+    make_spec,
     multiply,
     order_probe,
     parse_word,
@@ -35,6 +37,7 @@ from selfsim import (
     word_str,
     wreath,
 )
+from selfsim.elements import _wreath_letters
 from selfsim.errors import (
     NotInDerivedSubgroup,
     SpecMismatch,
@@ -254,13 +257,70 @@ def test_word_problem_frozen(ge, grig):
         order_probe(gen_a(ge), 0)
 
 
-def test_is_trivial_matches_level_action(ge, grig):
+def test_is_trivial_matches_level_action(ge, grig, fg):
+    # the word problem against the level action, at p = 2, 3 and 5; a
+    # word x with one nontrivial section commutes with its conjugate by a,
+    # which gives trivial words whose normal form is not empty, and words
+    # with root exponent 0 but a nonzero B-sum must be told apart by their
+    # sections alone
     rng = random.Random(16)
-    for spec in (ge, grig):
-        for _ in range(60):
-            x = random_word(spec, rng, rng.randrange(0, 10))
-            by_levels = all(level_perm(x, n).is_identity for n in range(1, 9))
+    for spec, top in ((ge, 8), (grig, 8), (fg, 6), (make_spec(5, [1, 1]), 4)):
+        words = [random_word(spec, rng, rng.randrange(0, 10)) for _ in range(60)]
+        found = 0
+        while found < 3:
+            x = random_word(spec, rng, rng.randrange(2, 12))
+            w = wreath(x)
+            if w.root or sum(1 for sec in w.sections if sec.letters) != 1:
+                continue
+            found += 1
+            c = commutator(x, conjugate(x, gen_a(spec)))
+            g = random_word(spec, rng, 6)
+            words += [c, conjugate(c, g), multiply(c, g)]
+        outcomes = set()
+        for x in words:
+            by_levels = all(level_perm(x, n).is_identity for n in range(1, top + 1))
             assert is_trivial(x) == by_levels
+            outcomes.add((by_levels, bool(x.letters)))
+        assert (True, True) in outcomes and (False, True) in outcomes
+        unbalanced = 0
+        for _ in range(40):
+            x = random_word(spec, rng, rng.randrange(2, 12))
+            x = multiply(x, gen_a(spec, -root_exponent(x)))
+            if len(x.letters) < 2 or abelianize(x).b_sum.is_zero:
+                continue
+            unbalanced += 1
+            assert not is_trivial(x)
+            assert not all(level_perm(x, n).is_identity for n in range(1, top + 1))
+        assert unbalanced >= 10
+
+
+def test_wreath_letters_match_reference(ge, grig, fg, dih):
+    # the flat letter loop against the nested pass it replaced, through
+    # all sections, on reduced words and on raw letter tuples with
+    # adjacent a-powers, adjacent B-letters and letters that cancel
+    rng = random.Random(17)
+    specs = (ge, grig, fg, dih, make_spec(5, [1, 1]), make_spec(3, [1, 0, 1]))
+    for spec in specs:
+        p = spec.p
+        words = [random_word(spec, rng, rng.randrange(0, 40)).letters for _ in range(40)]
+        for _ in range(40):
+            raw = []
+            for _ in range(rng.randrange(0, 40)):
+                if raw and rng.random() < 0.3:
+                    l = raw[-1]
+                    raw.append(-(p + l) if l < 0 else spec.neg_code[l])
+                elif rng.random() < 0.5:
+                    raw.append(-rng.randrange(1, p))
+                else:
+                    raw.append(rng.randrange(1, spec.pm))
+            words.append(tuple(raw))
+        for letters in words:
+            todo = [letters]
+            while todo:
+                w = todo.pop()
+                got = _wreath_letters(spec, w)
+                assert got == reference_wreath_letters(spec, w), (spec, w)
+                todo.extend(sec for sec in got[1] if len(sec) >= 2)
 
 
 def test_equal_elements(ge):

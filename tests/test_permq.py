@@ -367,6 +367,21 @@ def test_deep_level_memory(dih):
     assert peak < 64_000_000, peak
 
 
+def test_packed_vectors_memory():
+    # the rotation tables of 65,535 positions over 15 block widths keep
+    # int32 ancestors and one-byte digits: about 5 MB
+    tracemalloc.start()
+    try:
+        packed = _PackedVectors(2, 16)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert packed.V == 2**16 - 1
+    assert held < 7_000_000, held
+    # a digit past 255 still fits
+    assert _PackedVectors(257, 3)._blocks[0][1].max() == 256
+
+
 def test_pivot_basis_matches_reference():
     # the packed reduction against the numpy loop it replaced, on random
     # generator sets, plain and as a normal closure; sparse generators
