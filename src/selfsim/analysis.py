@@ -318,27 +318,24 @@ class MaximalCount:
 
 
 def count_finite_index_maximals(spec: GroupSpec) -> MaximalCount:
-    """One descriptor per nonzero functional on the p^(m+1)-element
-    abelianization; the count is p^(m+1) - 1."""
+    """One descriptor per index-p subgroup: the kernel of a nonzero
+    functional on G/G' = F_p^(m+1), normalized to first nonzero entry 1
+    (proportional ones share a kernel), (p^(m+1) - 1)/(p - 1) in all."""
     if spec.is_degenerate:
         raise DegenerateCase("the dihedral case is excluded")
-    p, m = spec.p, spec.m
+    p = spec.p
     gens = generating_set(spec)
     descs = []
     for lam_a in range(p):
         for bcode in range(spec.pm):
-            if lam_a == 0 and bcode == 0:
-                continue
             functional = (lam_a,) + spec.coords_of(bcode)
-            vals = [lam_a] + [functional[1 + i] for i in range(m)]
-            pivot = next(i for i, v in enumerate(vals) if v % p != 0)
-            inv_pivot = pow(vals[pivot], -1, p)
+            pivot = next((i for i, v in enumerate(functional) if v), None)
+            if pivot is None or functional[pivot] != 1:
+                continue
             members = [power(gens[pivot], p)]
             for i, s in enumerate(gens):
-                if i == pivot:
-                    continue
-                shift = (vals[i] * inv_pivot) % p
-                members.append(multiply(s, power(invert(gens[pivot]), shift)))
+                if i != pivot:
+                    members.append(multiply(s, power(invert(gens[pivot]), functional[i])))
             descs.append(MaximalDesc(functional, p, tuple(members)))
     return MaximalCount(len(descs), tuple(descs))
 
@@ -373,7 +370,7 @@ def classify(spec: GroupSpec) -> ClassifyReport:
         maximal_count = None
     else:
         torsion = is_torsion(spec)
-        maximal_count = spec.p ** (spec.m + 1) - 1
+        maximal_count = (spec.p ** (spec.m + 1) - 1) // (spec.p - 1)
     return ClassifyReport(
         p=spec.p,
         m=spec.m,

@@ -23,7 +23,7 @@ functions they compose by fancy indexing: (f o g)[i] = f[g[i]].
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -363,9 +363,14 @@ class PivotBasis(NamedTuple):
     p: int
     n: int
     keys: np.ndarray
-    labels: np.ndarray
     packed: _PackedVectors
     acts: list
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Rows x V int16 labels, unpacked from each row's first power."""
+        rows = [self.packed.unpack(a[1][1]) for a in self.acts]
+        return np.array(rows, dtype=np.int16).reshape(len(rows), self.packed.V)
 
     def pivots(self) -> list[np.ndarray]:
         """The basis elements as leaf permutations."""
@@ -378,7 +383,6 @@ class PivotBasis(NamedTuple):
         return self._replace(
             order=self.p ** (len(self.keys) - i),
             keys=self.keys[i:],
-            labels=self.labels[i:],
             acts=self.acts[i:],
         )
 
@@ -596,8 +600,7 @@ def tree_pivot_basis(
     keys = np.array(top_keys + [bottom0 + pb for pb in bot_keys], dtype=np.int64)
     acts = [row_acts[key2row[key]] for key in top_keys]
     acts += [[None, ([], bot[pb] << bottom0)] for pb in bot_keys]
-    labels = np.array([packed.unpack(a[1][1]) for a in acts], dtype=np.int16)
-    return PivotBasis(p ** len(keys), p, n, keys, labels.reshape(len(keys), V), packed, acts)
+    return PivotBasis(p ** len(keys), p, n, keys, packed, acts)
 
 
 # ---------------------------------------------------------------------------
@@ -608,23 +611,9 @@ def group_desc(spec: GroupSpec) -> SubgroupDesc:
     return SubgroupDesc("G", generating_set(spec), False, spec)
 
 
-# Least recently used bases of whole-group level images, keyed by (spec, n).
-_G_CHAIN_CACHE_SIZE = 16
-_g_chain_cache: OrderedDict[tuple[GroupSpec, int], PivotBasis] = OrderedDict()
-
-
 def group_chain(spec: GroupSpec, n: int) -> PivotBasis:
-    """Basis of the full level quotient, cached per (spec, n)."""
-    key = (spec, n)
-    found = _g_chain_cache.get(key)
-    if found is None:
-        found = chain_from(group_desc(spec), n)
-        _g_chain_cache[key] = found
-        if len(_g_chain_cache) > _G_CHAIN_CACHE_SIZE:
-            _g_chain_cache.popitem(last=False)
-    else:
-        _g_chain_cache.move_to_end(key)
-    return found
+    """Basis of the full level quotient."""
+    return chain_from(group_desc(spec), n)
 
 
 def chain_from(desc: SubgroupDesc, n: int) -> PivotBasis:
@@ -794,6 +783,19 @@ def branch_pair_check(spec: GroupSpec, n: int) -> bool:
 
 def density_check(spec: GroupSpec, H: SubgroupDesc, n: int) -> bool:
     """Whether the level-n images of H and of the whole group coincide.
-    H lies in the group, so equal orders decide it exactly."""
-    order = group_chain(spec, n).order
-    return chain_from(H, n).order == order
+    H lies in G, so equal orders at level L = min(n, m + 1) decide it;
+    nothing above level m + 1 is built, which is exact because:
+
+    - G_n is generated by a and B = F_p^m, all of order p, so G_n/G_n' is
+      elementary abelian of order at most p^(m+1) and Phi(G_n) = G_n'.
+    - At level m + 1 the label sum at each depth 0..m is a homomorphism
+      of the wreath power, sending a to e_0 and b_x to
+      (0, w(x), w(rho x), ..., w(rho^(m-1) x)).  These are independent:
+      by Cayley-Hamilton their common kernel on B is a rho-invariant
+      subspace of ker w, which `GroupSpec._check_faithful` makes 0.
+    - So |G_{m+1} : G_{m+1}'| = p^(m+1), and for every n >= m + 1 the
+      map G_n/G_n' -> G_{m+1}/G_{m+1}' is an isomorphism.
+    - By Burnside's basis theorem H_n = G_n iff H_n Phi(G_n) = G_n iff
+      H_{m+1} Phi(G_{m+1}) = G_{m+1} iff H_{m+1} = G_{m+1}."""
+    level = min(n, spec.m + 1)
+    return chain_from(H, level).order == group_chain(spec, level).order

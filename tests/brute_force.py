@@ -1,6 +1,7 @@
 """Brute-force oracles: plain product closure of permutations, independent
 of the pivot basis they check, the slow reduction loop the pivot basis
-replaced, and the nested wreath pass the flat letter loop replaced."""
+replaced, the nested wreath pass the flat letter loop replaced, and the
+level-n density comparison that density at level m + 1 replaced."""
 
 from collections import deque
 from typing import NamedTuple
@@ -34,6 +35,15 @@ def closure_order(perms) -> int:
     """Brute-force product closure cardinality of LevelPerms; the
     independent oracle for basis orders at small degree."""
     return len(closure_elements(perm.images for perm in perms))
+
+
+def reference_density_check(spec, H, n):
+    """Whether H's level-n image is the whole group's, by building both
+    pivot bases at level n; the oracle for `permq.density_check`, which
+    stops at level m + 1."""
+    from selfsim.permq import chain_from, group_desc
+
+    return chain_from(H, n).order == chain_from(group_desc(spec), n).order
 
 
 def reference_wreath_letters(spec, letters):

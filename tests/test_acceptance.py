@@ -91,7 +91,7 @@ def test_classification_table(ge, grig, fg):
         rep = classify(ge)
         assert (rep.torsion, rep.witness, rep.maximal_count) == (False, (1, 1), 7)
         rep = classify(fg)
-        assert (rep.torsion, rep.witness, rep.maximal_count) == (False, None, 8)
+        assert (rep.torsion, rep.witness, rep.maximal_count) == (False, None, 4)
         # the involutive directed letter exists exactly when 1 is a root
         # of the defining polynomial mod 2
         for spec in (ge, grig):

@@ -5,12 +5,16 @@ import pytest
 from selfsim import (
     SubgroupDesc,
     b_letter,
+    chain_from,
     classify,
+    commutator,
     count_finite_index_maximals,
     density_check,
     equal_elements,
     gen_a,
     gen_b,
+    generating_set,
+    group_chain,
     hq,
     hq_stab_gens,
     identity,
@@ -18,6 +22,7 @@ from selfsim import (
     invert,
     lambda_form,
     line_screen,
+    make_spec,
     multiply,
     parse_word,
     power,
@@ -230,7 +235,7 @@ def test_classify_frozen(ge, grig, fg, dih):
     assert (rep.torsion, rep.witness, rep.maximal_count) == (False, (1, 1), 7)
     assert rep.divisible
     rep = classify(fg)
-    assert (rep.torsion, rep.witness, rep.maximal_count) == (False, None, 8)
+    assert (rep.torsion, rep.witness, rep.maximal_count) == (False, None, 4)
     rep = classify(dih)
     assert rep.degenerate
     assert (rep.torsion, rep.maximal_count) == (False, None)
@@ -256,13 +261,13 @@ def test_witness_iff_divisible(ge):
 
 
 def test_maximal_descriptors(ge, fg):
-    for spec, expected in ((ge, 7), (fg, 8)):
+    for spec, expected in ((ge, 7), (fg, 4)):
         mc = count_finite_index_maximals(spec)
         assert mc.count == expected
         assert len(mc.descriptors) == expected
         functionals = {d.functional for d in mc.descriptors}
         assert len(functionals) == expected
-        assert all(any(v % spec.p for v in f) for f in functionals)
+        assert all(next(v for v in f if v) == 1 for f in functionals)
         for d in mc.descriptors:
             assert d.index == spec.p
             assert len(d.coset_gens) == spec.m + 1
@@ -273,6 +278,29 @@ def test_maximal_descriptors(ge, fg):
                 vec = (img.a_exp,) + img.b_sum.reduced(spec.p).coords
                 dot = sum(f * v for f, v in zip(d.functional, vec)) % spec.p
                 assert dot == 0
+
+
+def test_maximals_are_distinct_hyperplanes(ge, grig, fg):
+    # the oracle for the count: each descriptor's subgroup (its coset
+    # generators with the generator commutators, closed as a normal
+    # subgroup) built at level m + 1, where G/G' is seen whole; the images
+    # must have index p and be pairwise distinct, one per hyperplane
+    for spec in (fg, make_spec(5, (1, 1)), make_spec(3, (1, 1)), ge, grig):
+        p, n = spec.p, spec.m + 1
+        gens = generating_set(spec)
+        comms = [commutator(x, y) for i, x in enumerate(gens) for y in gens[i + 1 :]]
+        whole = group_chain(spec, n).order
+        images = []
+        for d in count_finite_index_maximals(spec).descriptors:
+            sub = chain_from(SubgroupDesc("M", list(d.coset_gens) + comms, True), n)
+            assert sub.order * p == whole, (spec, d.functional)
+            images.append(sub)
+        distinct = []
+        for sub in images:
+            rows = sub.pivots()
+            if not any(all(other.member(r) for r in rows) for other in distinct):
+                distinct.append(sub)
+        assert len(distinct) == len(images) == (p ** (spec.m + 1) - 1) // (p - 1)
 
 
 def test_faithful_action(ge, grig, fg, dih):

@@ -1,4 +1,5 @@
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -68,9 +69,15 @@ def test_levels(capsys):
 
 
 def test_density(capsys):
-    assert main(["density", GE, "--q", "3", "--max", "4"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("dense=true") == 4
+    # level m + 1 decides every level, so the cap itself costs little;
+    # the first ten lines are the level-n comparison's, byte for byte
+    for q in (3, 5):
+        assert main(["density", GE, "--q", str(q), "--max", "10"]) == 0
+        assert capsys.readouterr().out == "".join(f"n={n} dense=true\n" for n in range(1, 11))
+    start = time.perf_counter()
+    assert main(["density", GE, "--q", "3", "--max", "20"]) == 0
+    assert time.perf_counter() - start < 10.0
+    assert capsys.readouterr().out == "".join(f"n={n} dense=true\n" for n in range(1, 21))
 
 
 def test_proper(capsys):
@@ -118,8 +125,14 @@ def test_theta(capsys):
 def test_maximals(capsys):
     assert main(["maximals", FG]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("count=8\n")
-    assert out.count("index=3") == 8
+    # one functional per hyperplane, its first nonzero entry 1
+    assert out == (
+        "count=4\n"
+        "functional=0,1 index=3\n"
+        "functional=1,0 index=3\n"
+        "functional=1,1 index=3\n"
+        "functional=1,2 index=3\n"
+    )
 
 
 def test_reduce(capsys):

@@ -5,7 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brute_force import _compose, closure_elements, closure_order, reference_pivot_basis
+from brute_force import (
+    _compose,
+    closure_elements,
+    closure_order,
+    reference_density_check,
+    reference_pivot_basis,
+)
 from selfsim import (
     LevelPerm,
     SubgroupDesc,
@@ -19,6 +25,7 @@ from selfsim import (
     gen_b,
     generating_set,
     group_chain,
+    hq,
     identity,
     invert,
     level_perm,
@@ -28,10 +35,8 @@ from selfsim import (
     stab_in_derived_check,
 )
 from selfsim.permq import (
-    _G_CHAIN_CACHE_SIZE,
     _PackedVectors,
     _depth_start,
-    _g_chain_cache,
     _labels_to_leaf,
     _leaf_to_labels,
     _verts_from_labels,
@@ -44,6 +49,7 @@ from selfsim.errors import (
     DegenerateCase,
     LevelMismatch,
     LevelTooLarge,
+    NoDihedralWitness,
     StructureError,
 )
 
@@ -436,22 +442,6 @@ def test_packed_add_and_row_action():
                 assert np.array_equal(space.unpack(got), want), (p, n, key)
 
 
-def test_group_chain_cache_is_bounded(ge, grig, fg, dih):
-    keys = [(spec, n) for spec in (ge, grig, fg, dih) for n in range(1, 6)]
-    assert len(keys) > _G_CHAIN_CACHE_SIZE >= 16
-    for spec, n in keys:
-        group_chain(spec, n)
-        assert len(_g_chain_cache) <= _G_CHAIN_CACHE_SIZE
-    # least recently used entries go first; a hit refreshes its entry
-    assert list(_g_chain_cache) == keys[-_G_CHAIN_CACHE_SIZE:]
-    oldest = keys[-_G_CHAIN_CACHE_SIZE]
-    kept = _g_chain_cache[oldest]
-    assert group_chain(*oldest) is kept
-    group_chain(ge, 6)
-    assert oldest in _g_chain_cache
-    assert keys[-_G_CHAIN_CACHE_SIZE + 1] not in _g_chain_cache
-
-
 def test_subgroup_desc_validation(ge, grig):
     with pytest.raises(StructureError):
         SubgroupDesc("empty", [])
@@ -581,3 +571,70 @@ def test_density_check(ge):
     assert density_check(ge, hd, 1)
     assert not density_check(ge, hd, 3)
 
+
+def test_density_matches_reference(ge, grig, fg):
+    # density at level min(n, m + 1) against the level-n comparison, on
+    # seeded one-, two- and (m+1)-word subgroups and the line subgroups
+    # where the spec has them; both answers occur past level m + 1
+    rng = random.Random(36)
+    seen = set()
+    p5, cubic = make_spec(5, (1, 1)), make_spec(2, (1, 0, 0))
+    scopes = ((ge, 8), (grig, 8), (fg, 5), (p5, 3), (cubic, 7))
+    for spec, top in scopes:
+        subs = [
+            SubgroupDesc("R", [random_word(spec, rng, rng.randrange(1, 9)) for _ in range(k)])
+            for k in (1, 2, spec.m + 1)
+            for _ in range(2)
+        ]
+        for q in (3, 5, 7):
+            try:
+                subs.append(SubgroupDesc(f"H{q}", list(hq(spec, q).generators)))
+            except NoDihedralWitness:
+                pass
+        for H in subs:
+            for n in range(1, top + 1):
+                want = reference_density_check(spec, H, n)
+                assert density_check(spec, H, n) == want, (spec, H.name, n)
+                seen.add((n > spec.m + 1, want))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_density_builds_nothing_above_m_plus_1(ge, monkeypatch):
+    import selfsim.permq
+
+    levels = []
+    build = selfsim.permq.tree_pivot_basis
+
+    def spy(gen_arrays, p, n, conj_arrays=None):
+        levels.append(n)
+        return build(gen_arrays, p, n, conj_arrays)
+
+    monkeypatch.setattr(selfsim.permq, "tree_pivot_basis", spy)
+    h3 = SubgroupDesc("H3", list(hq(ge, 3).generators))
+    assert density_check(ge, h3, 20)
+    assert levels and max(levels) <= 3
+
+
+def test_abelianization_full_at_m_plus_1(dih):
+    # |G_n : G_n'| = p^(m+1) from level m + 1 on, the fact that lets
+    # density_check stop there; checked at m + 1 and m + 2
+    specs = [
+        make_spec(p, coeffs)
+        for p, coeffs in (
+            (2, (1, 1)),
+            (2, (1, 0)),
+            (2, (1, 0, 0)),
+            (2, (1, 1, 0)),
+            (2, (1, 0, 0, 0)),
+            (3, (2,)),
+            (3, (1, 1)),
+            (3, (2, 0)),
+            (5, (1, 1)),
+        )
+    ] + [dih]
+    for spec in specs:
+        for n in (spec.m + 1, spec.m + 2):
+            chain = group_chain(spec, n)
+            gens = [level_perm(g, n).images for g in generating_set(spec)]
+            derived = derived_chain(chain, gens, n)
+            assert chain.order // derived.order == spec.p ** (spec.m + 1), (spec, n)
