@@ -317,10 +317,19 @@ class MaximalCount:
     descriptors: tuple[MaximalDesc, ...]
 
 
+# The count of maximal subgroups of finite index rests on this result.
+MAXIMALS_HYPOTHESIS = "hypothesis=every_finite_index_maximal_is_normal_of_index_p"
+
+
 def count_finite_index_maximals(spec: GroupSpec) -> MaximalCount:
     """One descriptor per index-p subgroup: the kernel of a nonzero
     functional on G/G' = F_p^(m+1), normalized to first nonzero entry 1
-    (proportional ones share a kernel), (p^(m+1) - 1)/(p - 1) in all."""
+    (proportional ones share a kernel), (p^(m+1) - 1)/(p - 1) in all.
+
+    These are all the maximal subgroups of finite index by the source
+    paper's result (arXiv:1611.01216, 2016) that in these groups every
+    maximal subgroup of finite index is normal of index p; the records
+    name it as MAXIMALS_HYPOTHESIS."""
     if spec.is_degenerate:
         raise DegenerateCase("the dihedral case is excluded")
     p = spec.p

@@ -53,6 +53,7 @@ from .permq import (
 )
 from .recsys import build_conjugator, conjugation_disagreement_level
 from .analysis import (
+    MAXIMALS_HYPOTHESIS,
     classify,
     count_finite_index_maximals,
     hq,
@@ -172,7 +173,8 @@ def _run(args, rec: _Records) -> int:
         print(f"finite_index_maximals={maxi}")
         rec.add("classify", "torsion", "info", str(rep.torsion).lower())
         rec.add("classify", "witness", "info", wit)
-        rec.add("classify", "maximals", "info", maxi)
+        rec.add("classify", "maximals", "info",
+                maxi if rep.maximal_count is None else f"{maxi} {MAXIMALS_HYPOTHESIS}")
         return 0
 
     if cmd == "eval":
@@ -208,8 +210,9 @@ def _run(args, rec: _Records) -> int:
 
     if cmd == "levels":
         _check_max_level(spec, args.max_level)
+        chain = group_chain(spec, args.max_level)
         for n in range(1, args.max_level + 1):
-            order = group_chain(spec, n).order
+            order = chain.order // chain.stabilizer(n).order
             print(f"n={n} order={order}")
             rec.add("levels", f"n{n}", "info", str(order))
         return 0
@@ -287,7 +290,7 @@ def _run(args, rec: _Records) -> int:
         print(f"count={mc.count}")
         for desc in mc.descriptors:
             print(f"functional={','.join(map(str, desc.functional))} index={desc.index}")
-        rec.add("maximals", "count", "info", str(mc.count))
+        rec.add("maximals", "count", "info", f"{mc.count} {MAXIMALS_HYPOTHESIS}")
         return 0
 
     if cmd == "verify":

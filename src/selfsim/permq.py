@@ -386,6 +386,12 @@ class PivotBasis(NamedTuple):
             acts=self.acts[i:],
         )
 
+    def stabilizer(self, depth: int) -> "PivotBasis":
+        """Basis of the level-`depth` stabilizer: the tail from the first
+        vertex at that depth.  The group's level-`depth` image therefore has
+        order `order // stabilizer(depth).order`."""
+        return self.tail(_depth_start(self.p, depth))
+
     def member(self, perm: Union[LevelPerm, np.ndarray]) -> bool:
         """Exact membership: strip the leading label with a row power until
         nothing is left (member) or no row has that key (not a member).  A
@@ -732,9 +738,8 @@ def stab_in_derived_check(spec: GroupSpec, n: int) -> StabDerivedReport:
         # the derived image lies in the level image, so its tail is its
         # intersection with the stabilizer, which is the stabilizer's
         # image exactly when the orders agree
-        start = _depth_start(spec.p, ell)
-        kernel_order = chain.tail(start).order
-        contained = derived.tail(start).order == kernel_order
+        kernel_order = chain.stabilizer(ell).order
+        contained = derived.stabilizer(ell).order == kernel_order
         entries.append(
             StabDerivedEntry(ell, depth, kernel_order, derived.order, contained)
         )

@@ -163,17 +163,22 @@ def conjugation_disagreement_level(
     """First level in 1..depth where r^-1 x r and y differ, or None.
 
     Level images of r are inverted as permutations, so the comparison is
-    exact at each level even though r itself is not a group element.
+    exact even though r itself is not a group element.  All three act on
+    the tree, so one build at level `depth` serves every level k: the
+    level-k image of vertex v is the level-depth image of the leaf
+    v p^(depth-k), divided by p^(depth-k).
     """
     if x.spec != r.spec or y.spec != r.spec:
         raise SpecMismatch("elements over a different spec")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    check_level_cap(r.spec.p, depth)
-    for n in range(1, depth + 1):
-        Pr = rec_level_perm(r, n).images
-        Px = level_perm(x, n).images
-        Py = level_perm(y, n).images
-        if not np.array_equal(invert_perm(Pr)[Px[Pr]], Py):
-            return n
+    p = r.spec.p
+    check_level_cap(p, depth)
+    Pr = rec_level_perm(r, depth).images
+    conj = invert_perm(Pr)[level_perm(x, depth).images[Pr]]
+    Py = level_perm(y, depth).images
+    for k in range(1, depth + 1):
+        step = p ** (depth - k)
+        if not np.array_equal(conj[::step] // step, Py[::step] // step):
+            return k
     return None

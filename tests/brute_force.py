@@ -1,7 +1,8 @@
 """Brute-force oracles: plain product closure of permutations, independent
 of the pivot basis they check, the slow reduction loop the pivot basis
-replaced, the nested wreath pass the flat letter loop replaced, and the
-level-n density comparison that density at level m + 1 replaced."""
+replaced, the nested wreath pass the flat letter loop replaced, the
+level-n density comparison that density at level m + 1 replaced, and the
+per-level conjugation check that one build at the deepest level replaced."""
 
 from collections import deque
 from typing import NamedTuple
@@ -44,6 +45,22 @@ def reference_density_check(spec, H, n):
     from selfsim.permq import chain_from, group_desc
 
     return chain_from(H, n).order == chain_from(group_desc(spec), n).order
+
+
+def reference_disagreement_level(r, x, y, depth):
+    """First level in 1..depth where r^-1 x r and y differ, or None, by
+    building all three level permutations at every level; the oracle for
+    `recsys.conjugation_disagreement_level`."""
+    from selfsim.permq import invert_perm, level_perm
+    from selfsim.recsys import rec_level_perm
+
+    for n in range(1, depth + 1):
+        Pr = rec_level_perm(r, n).images
+        Px = level_perm(x, n).images
+        Py = level_perm(y, n).images
+        if not np.array_equal(invert_perm(Pr)[Px[Pr]], Py):
+            return n
+    return None
 
 
 def reference_wreath_letters(spec, letters):

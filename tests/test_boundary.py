@@ -6,6 +6,7 @@ from brute_force import iterative_zeta, transducer_act_ray
 from selfsim import (
     Element,
     Ray,
+    act_on_vertex,
     act_ray,
     all_ones,
     b_letter,
@@ -26,7 +27,7 @@ from selfsim import (
     zeta,
     zeta_inv,
 )
-from selfsim.boundary import certificate_sample
+from selfsim.boundary import certificate_sample, witness_pair
 from selfsim.errors import EvenQ, NoDihedralWitness, NotInOrbit
 
 
@@ -236,3 +237,75 @@ def test_properness_certificate(ge, grig):
         hq_properness_certificate(ge, -3)
     with pytest.raises(NoDihedralWitness):
         hq_properness_certificate(grig, 3)
+
+
+def test_b_letters_act_as_one_or_witness():
+    # the lemma in witness_pair: on every vertex each nonzero B-letter acts
+    # as the identity or exactly as the witness b
+    verts = [""] + [format(i, f"0{n}b") for n in range(1, 11) for i in range(2**n)]
+    for coeffs in ((1, 0), (1, 0, 0), (1, 0, 0, 0, 0), (1,)):
+        spec = make_spec(2, coeffs)
+        b = witness_pair(spec)[1]
+        b_imgs = [act_on_vertex(b, u) for u in verts]
+        for code in range(1, spec.pm):
+            x = Element(spec, (code,))
+            for u, bu in zip(verts, b_imgs):
+                assert act_on_vertex(x, u) in (u, bu), (spec, code, u)
+
+
+def test_b_letter_sign_rule_on_the_line():
+    # x sends n to -n exactly when omega(rho^k x) = 1 for k = v_2(n), the
+    # number of leading 1s of zeta(n); checked against z_action
+    for coeffs in ((1, 0), (1, 0, 0)):
+        spec = make_spec(2, coeffs)
+        for n in range(-2000, 2001):
+            k = (n & -n).bit_length() - 1 if n else 0
+            r = zeta(spec, n)
+            if n:
+                assert (r.pre + (0,)).index(0) == k, n
+            for code in range(1, spec.pm):
+                c = code
+                for _ in range(k):
+                    c = spec.rho_code[c]
+                want = -n if spec.omega_code[c] else n
+                assert z_action(Element(spec, (code,)), n) == want, (coeffs, code, n)
+
+
+def test_certificate_samples_nothing(ge, monkeypatch):
+    import selfsim.boundary as boundary
+
+    calls = {"z_action": 0}
+    real = boundary.z_action
+
+    def counted(x, n):
+        calls["z_action"] += 1
+        return real(x, n)
+
+    def no_sample(q):
+        raise AssertionError("certificate_sample was called")
+
+    monkeypatch.setattr(boundary, "z_action", counted)
+    monkeypatch.setattr(boundary, "certificate_sample", no_sample)
+    rep = hq_properness_certificate(ge, 101)
+    assert rep.status == "PASS"
+    assert calls["z_action"] <= 2
+
+
+def test_certificate_fails_without_a_witness(ge, monkeypatch):
+    # b0 is no witness on ge (its section at 1 is b1), so the certificate
+    # must refute witness_negates and end in FAIL
+    import selfsim.boundary as boundary
+
+    monkeypatch.setattr(boundary, "witness_pair", lambda spec: (gen_a(spec), gen_b(spec, 0)))
+    rep = hq_properness_certificate(ge, 3)
+    assert rep.status == "FAIL" and not rep.passed
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert {"witness_negates", "orbit_of_0_in_qZ"} <= failed
+    # a generator that is not a B-letter fails its sign check
+    import selfsim.elements as elements
+
+    monkeypatch.undo()
+    monkeypatch.setattr(elements, "basis_gens", lambda spec: [gen_b(spec, 0), gen_a(spec)])
+    rep = hq_properness_certificate(ge, 3)
+    assert rep.status == "FAIL"
+    assert [c.name for c in rep.checks if not c.passed] == ["basis_a_sign", "orbit_of_0_in_qZ"]

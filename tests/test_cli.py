@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from selfsim import gen_a, gen_b, group_chain, make_spec
 from selfsim.cli import main
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -68,6 +69,36 @@ def test_levels(capsys):
     assert capsys.readouterr().out == "n=1 order=2\nn=2 order=8\nn=3 order=128\n"
 
 
+def test_levels_builds_one_basis(tmp_path, capsys, monkeypatch):
+    import selfsim.permq
+
+    build = selfsim.permq.tree_pivot_basis
+    levels = []
+
+    def spy(gen_arrays, p, n, conj_arrays=None):
+        levels.append(n)
+        return build(gen_arrays, p, n, conj_arrays)
+
+    monkeypatch.setattr(selfsim.permq, "tree_pivot_basis", spy)
+    assert main(["levels", GE, "--max", "8"]) == 0
+    capsys.readouterr()
+    assert levels == [8]
+    monkeypatch.undo()
+    # the orders read off one basis equal those of one basis per level
+    cases = [
+        ((2, (1, 1)), 6), ((2, (1, 0)), 6), ((2, (1, 0, 0)), 6), ((2, (1, 1, 0)), 6),
+        ((2, (1, 0, 0, 0)), 6), ((3, (2,)), 4), ((3, (1, 1)), 4), ((3, (2, 0)), 4),
+        ((5, (1, 1)), 3), ((2, (1,)), 10),
+    ]
+    for (p, coeffs), top in cases:
+        path = tmp_path / "s.spec"
+        path.write_text(f"p = {p}\nf = {', '.join(map(str, coeffs))}\n")
+        assert main(["levels", str(path), "--max", str(top)]) == 0
+        spec = make_spec(p, coeffs)
+        want = "".join(f"n={n} order={group_chain(spec, n).order}\n" for n in range(1, top + 1))
+        assert capsys.readouterr().out == want, (p, coeffs)
+
+
 def test_density(capsys):
     # level m + 1 decides every level, so the cap itself costs little;
     # the first ten lines are the level-n comparison's, byte for byte
@@ -122,6 +153,19 @@ def test_theta(capsys):
     assert "NotInDerivedSubgroup" in capsys.readouterr().err
 
 
+def test_proper_fails_without_a_witness(capsys, monkeypatch):
+    # a certificate built on b0, which is no witness on ge, must fail
+    import selfsim.boundary
+
+    monkeypatch.setattr(
+        selfsim.boundary, "witness_pair", lambda spec: (gen_a(spec), gen_b(spec, 0))
+    )
+    assert main(["proper", GE, "--q", "3"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("status=FAIL\n")
+    assert "check=witness_negates ok=false\n" in out
+
+
 def test_maximals(capsys):
     assert main(["maximals", FG]) == 0
     out = capsys.readouterr().out
@@ -133,6 +177,21 @@ def test_maximals(capsys):
         "functional=1,1 index=3\n"
         "functional=1,2 index=3\n"
     )
+
+
+def test_maximal_count_records_name_the_hypothesis(tmp_path, capsys):
+    # the count rests on the paper's result; stdout stays as it was
+    rec = tmp_path / "r.txt"
+    assert main(["maximals", FG, "--records", str(rec)]) == 0
+    assert capsys.readouterr().out.startswith("count=4\n")
+    hyp = "hypothesis=every_finite_index_maximal_is_normal_of_index_p"
+    assert rec.read_text() == f"suite=maximals item=count status=info witness=4_{hyp}\n"
+    assert main(["classify", GE, "--records", str(rec)]) == 0
+    assert "finite_index_maximals=7\n" in capsys.readouterr().out
+    assert f"item=maximals status=info witness=7_{hyp}\n" in rec.read_text()
+    assert main(["classify", DIH, "--records", str(rec)]) == 0
+    capsys.readouterr()
+    assert "item=maximals status=info witness=excluded\n" in rec.read_text()
 
 
 def test_reduce(capsys):

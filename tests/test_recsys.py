@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from brute_force import reference_disagreement_level
 from selfsim import (
     RecEquation,
     RecSystem,
@@ -131,3 +132,31 @@ def test_rec_system_validation(ge, grig):
         RecSystem(
             ge, {"S": RecEquation(0, (identity(grig), one), ("S", "S"))}, "S"
         )
+
+
+def test_disagreement_level_matches_reference(ge):
+    # the real conjugator, one with its sections swapped and one built for
+    # the wrong q: the one-level check and the per-level loop must refute
+    # (or accept) each identity at the same level
+    a, b = gen_a(ge), b_letter(ge, (1, 1))
+    for q in (3, 5, 7):
+        real = build_conjugator(ge, q)
+        eq = real.equations["G0"]
+        swapped = RecSystem(
+            ge,
+            {"G0": RecEquation(0, eq.section_words[::-1], eq.section_symbols)},
+            "G0",
+        )
+        wrong_q = build_conjugator(ge, q + 2)
+        big = multiply(power(multiply(a, b), q), b)
+        pairs = [(big, a), (gen_b(ge, 0),) * 2, (gen_b(ge, 1),) * 2, (b, b), (a, a),
+                 (gen_b(ge, 0), gen_b(ge, 1))]
+        seen = set()
+        for r in (real, swapped, wrong_q):
+            for x, y in pairs:
+                for depth in (1, 4, 8, 12):
+                    got = conjugation_disagreement_level(r, x, y, depth)
+                    assert got == reference_disagreement_level(r, x, y, depth), (q, x, y, depth)
+                    seen.add(got)
+        # both verdicts occur, and refutations at more than one level
+        assert None in seen and len(seen) >= 3
