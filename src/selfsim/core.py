@@ -313,12 +313,6 @@ def subspace_Bi(spec: GroupSpec, i: int) -> Subspace:
     return Subspace(p, rref, len(rref))
 
 
-def subspace_span(spec: GroupSpec, vectors: Iterable[BVec]) -> Subspace:
-    rows = [v.reduced(spec.p).coords for v in vectors]
-    rref = _rref(spec.p, rows)
-    return Subspace(spec.p, rref, len(rref))
-
-
 def is_torsion(spec: GroupSpec) -> bool:
     """Whether the group is a torsion (in fact p-) group.
 

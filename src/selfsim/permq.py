@@ -659,12 +659,9 @@ def _commutator_arrays(arrs: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 
 def derived_chain(
-    chain: PivotBasis,
-    gens: Sequence[Union[LevelPerm, np.ndarray]],
-    n: int,
-    k: int = 1,
+    gens: Sequence[Union[LevelPerm, np.ndarray]], p: int, n: int, k: int = 1
 ) -> PivotBasis:
-    """k-th derived subgroup of the finite image generated by `gens`.
+    """k-th derived subgroup of the level-n image generated by `gens`.
 
     Each round takes commutators of the current generating set and closes
     them under conjugation by the original generators.  That gives the
@@ -679,9 +676,8 @@ def derived_chain(
         for g in gens
     ]
     cur = ambient
-    out = chain
     for _ in range(k):
-        out = tree_pivot_basis(_commutator_arrays(cur), chain.p, n, conj_arrays=ambient)
+        out = tree_pivot_basis(_commutator_arrays(cur), p, n, conj_arrays=ambient)
         cur = out.pivots()
         if not cur:
             break
@@ -714,36 +710,44 @@ class StabDerivedReport:
 
 
 def stab_in_derived_check(spec: GroupSpec, n: int) -> StabDerivedReport:
-    """Finite-level congruence checks: the image of the level-(m+1)
-    stabilizer lies in the derived image; for odd p additionally the
-    level-(m+3) stabilizer image lies in the second derived image.
+    """Congruence checks at level n: the level-(m+1) stabilizer lies in the
+    derived subgroup; for odd p the level-(m+3) stabilizer also lies in
+    the second derived subgroup.
 
-    These are exact necessary conditions at level n for the group-level
-    inclusions (level images of stabilizers surject onto the kernels
-    between finite levels).
+    The first inclusion is proved, not computed.  By the lemma in
+    `density_check`, for n >= m + 1 the map G_n/G_n' -> G_{m+1}/G_{m+1}'
+    is an isomorphism, so G_n' is the kernel of G_n -> G_{m+1}/G_{m+1}',
+    of index p^(m+1), and it contains St_{G_n}(m+1), the kernel of
+    G_n -> G_{m+1}.  The same holds in G, whose abelianization is also
+    generated by a and B of order p and maps onto G_{m+1}/G_{m+1}': so
+    St_G(m+1) <= G'.  The first entry reads both orders off G_n's basis.
+
+    The second inclusion is checked at level n, an exact necessary
+    condition for the group-level one (level images of stabilizers
+    surject onto the kernels between finite levels).
     """
     if spec.is_degenerate:
         raise DegenerateCase("(2, 1) is excluded from the congruence checks")
-    checks = [(spec.m + 1, 1)]
-    if spec.p > 2:
-        checks.append((spec.m + 3, 2))
-    for ell, _ in checks:
-        if n <= ell:
-            raise ValueError(f"need n > {ell} for this spec")
+    p, m = spec.p, spec.m
+    ell = m + 3 if p > 2 else m + 1  # the deepest stabilizer level checked
+    if n <= ell:
+        raise ValueError(f"need n > {ell} for this spec")
     chain = group_chain(spec, n)
-    gen_arrays = [level_perm(g, n).images for g in generating_set(spec)]
-    entries = []
-    for ell, depth in checks:
-        derived = derived_chain(chain, gen_arrays, n, depth)
+    entries = [
+        StabDerivedEntry(
+            m + 1, 1, chain.stabilizer(m + 1).order, chain.order // p ** (m + 1), True
+        )
+    ]
+    if p > 2:
+        gen_arrays = [level_perm(g, n).images for g in generating_set(spec)]
+        derived = derived_chain(gen_arrays, p, n, 2)
         # the derived image lies in the level image, so its tail is its
         # intersection with the stabilizer, which is the stabilizer's
         # image exactly when the orders agree
         kernel_order = chain.stabilizer(ell).order
         contained = derived.stabilizer(ell).order == kernel_order
-        entries.append(
-            StabDerivedEntry(ell, depth, kernel_order, derived.order, contained)
-        )
-    return StabDerivedReport(spec.p, spec.m, n, tuple(entries))
+        entries.append(StabDerivedEntry(ell, 2, kernel_order, derived.order, contained))
+    return StabDerivedReport(p, m, n, tuple(entries))
 
 
 # ---------------------------------------------------------------------------

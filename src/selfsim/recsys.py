@@ -152,11 +152,6 @@ def rec_state_sets(r: RecSystem, n: int) -> list[set[_State]]:
     return out
 
 
-def conjugation_check(r: RecSystem, x: Element, y: Element, depth: int = 12) -> bool:
-    """Whether r^-1 x r and y agree on every vertex of levels 1..depth."""
-    return conjugation_disagreement_level(r, x, y, depth) is None
-
-
 def conjugation_disagreement_level(
     r: RecSystem, x: Element, y: Element, depth: int = 12
 ) -> Optional[int]:

@@ -1,8 +1,9 @@
 """Brute-force oracles: plain product closure of permutations, independent
 of the pivot basis they check, the slow reduction loop the pivot basis
 replaced, the nested wreath pass the flat letter loop replaced, the
-level-n density comparison that density at level m + 1 replaced, and the
-per-level conjugation check that one build at the deepest level replaced."""
+level-n density comparison that density at level m + 1 replaced, the
+per-level conjugation check that one build at the deepest level replaced,
+and the level-n derived bases that the proved St_G(m+1) <= G' replaced."""
 
 from collections import deque
 from typing import NamedTuple
@@ -45,6 +46,44 @@ def reference_density_check(spec, H, n):
     from selfsim.permq import chain_from, group_desc
 
     return chain_from(H, n).order == chain_from(group_desc(spec), n).order
+
+
+def reference_stab_in_derived_check(spec, n):
+    """The stabilizer-in-derived entries with every derived term built at
+    level n, the first one included; the oracle for
+    `permq.stab_in_derived_check`, which proves the first inclusion."""
+    from selfsim.elements import generating_set
+    from selfsim.errors import DegenerateCase
+    from selfsim.permq import (
+        StabDerivedEntry,
+        StabDerivedReport,
+        derived_chain,
+        group_chain,
+        level_perm,
+    )
+
+    if spec.is_degenerate:
+        raise DegenerateCase("(2, 1) is excluded from the congruence checks")
+    checks = [(spec.m + 1, 1)]
+    if spec.p > 2:
+        checks.append((spec.m + 3, 2))
+    for ell, _ in checks:
+        if n <= ell:
+            raise ValueError(f"need n > {ell} for this spec")
+    chain = group_chain(spec, n)
+    gen_arrays = [level_perm(g, n).images for g in generating_set(spec)]
+    entries = []
+    for ell, depth in checks:
+        derived = derived_chain(gen_arrays, spec.p, n, depth)
+        # the derived image lies in the level image, so its tail is its
+        # intersection with the stabilizer, which is the stabilizer's
+        # image exactly when the orders agree
+        kernel_order = chain.stabilizer(ell).order
+        contained = derived.stabilizer(ell).order == kernel_order
+        entries.append(
+            StabDerivedEntry(ell, depth, kernel_order, derived.order, contained)
+        )
+    return StabDerivedReport(spec.p, spec.m, n, tuple(entries))
 
 
 def reference_disagreement_level(r, x, y, depth):

@@ -213,6 +213,23 @@ def test_verify_all_specs(capsys):
     assert "suite=branching item=all status=skip witness=degenerate" in out
 
 
+def test_verify_congruence_lines(capsys):
+    # the first inclusion is proved at level m + 1; the second derived
+    # subgroup (odd p) is still checked at level m + 4
+    want = {
+        GE: ["suite=congruence item=st3_in_derived1 status=pass witness=proved_n3"],
+        GRIG: ["suite=congruence item=st3_in_derived1 status=pass witness=proved_n3"],
+        FG: [
+            "suite=congruence item=st2_in_derived1 status=pass witness=proved_n2",
+            "suite=congruence item=st4_in_derived2 status=pass witness=n5",
+        ],
+    }
+    for path, lines in want.items():
+        assert main(["verify", path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("suite=congruence")] == lines
+
+
 def test_records_schema_and_stability(tmp_path, capsys):
     rec1 = tmp_path / "r1.txt"
     rec2 = tmp_path / "r2.txt"

@@ -10,7 +10,6 @@ from selfsim import (
     make_spec,
     parse_spec_file,
     subspace_Bi,
-    subspace_span,
 )
 from selfsim.core import GroupSpec
 from selfsim.errors import (
@@ -133,14 +132,6 @@ def test_subspace_chain(ge, grig, fg):
     for spec in (ge, grig):
         for i in range(-3, 4):
             assert subspace_Bi(spec, i).dim == spec.m - 1
-
-
-def test_subspace_span():
-    spec = make_spec(2, [1, 0, 1])
-    sp = subspace_span(spec, [BVec((1, 0, 0)), BVec((1, 1, 0))])
-    assert sp.dim == 2
-    assert sp.contains(BVec((0, 1, 0)))
-    assert not sp.contains(BVec((0, 0, 1)))
 
 
 def test_bvec_arithmetic():

@@ -11,6 +11,7 @@ from brute_force import (
     closure_order,
     reference_density_check,
     reference_pivot_basis,
+    reference_stab_in_derived_check,
 )
 from selfsim import (
     LevelPerm,
@@ -34,6 +35,7 @@ from selfsim import (
     parse_word,
     stab_in_derived_check,
 )
+from selfsim import permq
 from selfsim.permq import (
     _PackedVectors,
     _depth_start,
@@ -321,7 +323,7 @@ def test_basis_rows_pinned(ge, grig, fg):
             "4398cdee43945594a13e24292639f46fd268240ce3c119d4af8e5938e8060de9",
         ),
         "second derived fg 4": (
-            lambda: derived_chain(group_chain(fg, 4), fg_gens, 4, 2),
+            lambda: derived_chain(fg_gens, 3, 4, 2),
             "21d018fd4ae9e5ac626aaa96850f7095b3d46bfd90da9a75a5c467a5f8b804c0",
         ),
         "p = 5 level 4": (
@@ -481,22 +483,20 @@ def test_derived_chain_vs_brute(grig, fg):
         return seen
 
     elems = brute_elements(grig, 3)
-    chain = group_chain(grig, 3)
     gens = [level_perm(g, 3).images for g in generating_set(grig)]
     assert len(elems) == 128
     assert len(brute_derived(elems, 8)) == 16
-    assert derived_chain(chain, gens, 3, 1).order == 16
+    assert derived_chain(gens, 2, 3, 1).order == 16
 
     elems = brute_elements(fg, 2)
-    chain = group_chain(fg, 2)
     gens = [level_perm(g, 2).images for g in generating_set(fg)]
     derived = brute_derived(elems, 9)
     assert (len(elems), len(derived)) == (81, 9)
-    assert derived_chain(chain, gens, 2, 1).order == 9
+    assert derived_chain(gens, 3, 2, 1).order == 9
     assert len(brute_derived(derived, 9)) == 1
-    assert derived_chain(chain, gens, 2, 2).order == 1
+    assert derived_chain(gens, 3, 2, 2).order == 1
     with pytest.raises(ValueError):
-        derived_chain(chain, gens, 2, 0)
+        derived_chain(gens, 3, 2, 0)
 
 
 def test_prefix_kernel_order(ge, grig, fg):
@@ -515,7 +515,7 @@ def test_stab_in_derived_orders_vs_membership(ge, grig, fg):
         chain = group_chain(spec, n)
         gens = [level_perm(g, n).images for g in generating_set(spec)]
         for depth in depths:
-            derived = derived_chain(chain, gens, n, depth)
+            derived = derived_chain(gens, spec.p, n, depth)
             for ell in range(1, n):
                 start = _depth_start(spec.p, ell)
                 by_order = derived.tail(start).order == chain.tail(start).order
@@ -544,6 +544,73 @@ def test_stab_in_derived_errors(ge, fg, dih):
         stab_in_derived_check(fg, 4)
     with pytest.raises(DegenerateCase):
         stab_in_derived_check(dih, 5)
+
+
+BASELINE_SPECS = (
+    (2, (1, 1)),
+    (2, (1, 0)),
+    (2, (1, 0, 0)),
+    (2, (1, 1, 0)),
+    (2, (1, 0, 0, 0)),
+    (3, (2,)),
+    (3, (1, 1)),
+    (3, (2, 0)),
+    (5, (1, 1)),
+)
+
+
+def test_stab_in_derived_matches_reference(ge, grig, fg):
+    # the proved first entry against the level-n derived basis of the
+    # reference, every field of every entry
+    cases = [(ge, n) for n in range(5, 9)] + [(grig, n) for n in range(5, 9)]
+    cases.append((fg, 5))
+    for p, coeffs in BASELINE_SPECS:
+        spec = make_spec(p, coeffs)
+        n = spec.m + 2
+        if p == 2:
+            cases.append((spec, n))
+            continue
+        # odd p needs n > m + 3 for the second entry, and both refuse n = m + 2;
+        # the first inclusion is still checked there against a derived basis
+        with pytest.raises(ValueError):
+            stab_in_derived_check(spec, n)
+        with pytest.raises(ValueError):
+            reference_stab_in_derived_check(spec, n)
+        chain = group_chain(spec, n)
+        derived = derived_chain([level_perm(g, n) for g in generating_set(spec)], p, n)
+        assert derived.order == chain.order // p ** (spec.m + 1), coeffs
+        assert derived.stabilizer(spec.m + 1).order == chain.stabilizer(spec.m + 1).order
+    for spec, n in cases:
+        got = stab_in_derived_check(spec, n)
+        want = reference_stab_in_derived_check(spec, n)
+        assert got == want, (spec.p, spec.coeffs, n)
+        assert [e.derivation for e in got.entries] == ([1] if spec.p == 2 else [1, 2])
+        assert got.passed
+
+
+def test_stab_in_derived_builds_derived_terms_once(ge, grig, fg, monkeypatch):
+    # p = 2: the first inclusion is proved, so only the basis of G_n is built;
+    # odd p: one derived_chain call builds G_n'' (and G_n' on the way)
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(permq, name, wrapped)
+
+    spy("tree_pivot_basis", permq.tree_pivot_basis)
+    spy("derived_chain", permq.derived_chain)
+    for spec in (ge, grig):
+        calls.clear()
+        stab_in_derived_check(spec, 8)
+        assert calls == ["tree_pivot_basis"]
+    calls.clear()
+    stab_in_derived_check(fg, 5)
+    assert calls.count("derived_chain") == 1
+    # G_5, then G_5' and G_5'' inside the one derived_chain call
+    assert calls == ["tree_pivot_basis", "derived_chain", "tree_pivot_basis", "tree_pivot_basis"]
 
 
 def test_branch_group(ge, grig, fg, dih):
@@ -636,5 +703,5 @@ def test_abelianization_full_at_m_plus_1(dih):
         for n in (spec.m + 1, spec.m + 2):
             chain = group_chain(spec, n)
             gens = [level_perm(g, n).images for g in generating_set(spec)]
-            derived = derived_chain(chain, gens, n)
+            derived = derived_chain(gens, spec.p, n)
             assert chain.order // derived.order == spec.p ** (spec.m + 1), (spec, n)
