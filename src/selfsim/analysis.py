@@ -44,6 +44,7 @@ from .elements import (
     section_at,
     theta,
     word_str,
+    wreath,
 )
 from .boundary import certificate_sample, check_odd_q, witness_pair, z_action
 
@@ -333,7 +334,8 @@ def count_finite_index_maximals(spec: GroupSpec) -> MaximalCount:
     p = spec.p
     gens = generating_set(spec)
     descs = []
-    for lam_a in range(p):
+    # a functional with lambda_a > 1 is not normalized, so only 0 and 1
+    for lam_a in range(min(p, 2)):
         for bcode in range(spec.pm):
             functional = (lam_a,) + spec.coords_of(bcode)
             pivot = next((i for i, v in enumerate(functional) if v), None)
@@ -449,11 +451,12 @@ def identity_suite(spec: GroupSpec) -> SuiteReport:
     )
     sec_pairs = []
     for i, x in enumerate(basis):
-        sec_pairs.append((f"b{i}@0", section_at(x, (0,)), gen_a(spec, spec.omega_code[x.letters[0]])))
+        secs = wreath(x).sections
+        sec_pairs.append((f"b{i}@0", secs[0], gen_a(spec, spec.omega_code[x.letters[0]])))
         for k in range(1, p - 1):
-            sec_pairs.append((f"b{i}@{k}", section_at(x, (k,)), one))
+            sec_pairs.append((f"b{i}@{k}", secs[k], one))
         sec_pairs.append(
-            (f"b{i}@{p - 1}", section_at(x, (p - 1,)), b_letter(spec, spec.coords_of(spec.rho_code[x.letters[0]])))
+            (f"b{i}@{p - 1}", secs[p - 1], b_letter(spec, spec.coords_of(spec.rho_code[x.letters[0]])))
         )
     check("directed_sections", sec_pairs)
 

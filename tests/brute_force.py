@@ -3,7 +3,9 @@ of the pivot basis they check, the slow reduction loop the pivot basis
 replaced, the nested wreath pass the flat letter loop replaced, the
 level-n density comparison that density at level m + 1 replaced, the
 per-level conjugation check that one build at the deepest level replaced,
-and the level-n derived bases that the proved St_G(m+1) <= G' replaced."""
+the level-n derived bases that the proved St_G(m+1) <= G' replaced, and
+the derived terms formed from leaf permutations, with the block check
+that the checked read of a level image replaced."""
 
 from collections import deque
 from typing import NamedTuple
@@ -39,6 +41,77 @@ def closure_order(perms) -> int:
     return len(closure_elements(perm.images for perm in perms))
 
 
+def assert_cyclic_blocks(arr: np.ndarray, p: int, n: int) -> None:
+    """Check that the permutation preserves the p-ary block partition at
+    every depth and permutes each vertex's children by a cyclic shift, i.e.
+    lies in the n-fold wreath power of Z/p."""
+    from selfsim.errors import StructureError
+
+    for d in range(n):
+        bs = p ** (n - d)
+        cs = bs // p
+        starts = np.arange(p**d, dtype=np.int64) * bs
+        child_starts = (starts[:, None] + np.arange(p, dtype=np.int64) * cs).ravel()
+        img = arr[child_starts].reshape(p**d, p)
+        if not bool((img // bs == img[:, :1] // bs).all()):
+            raise StructureError("permutation does not preserve the tree blocks")
+        rel = (img % bs) // cs
+        expect = (rel[:, :1] + np.arange(p, dtype=np.int64)) % p
+        if not bool((rel == expect).all()):
+            raise StructureError("children are not permuted by a cyclic shift")
+
+
+def basis_leaves(basis):
+    """The rows of a pivot basis as leaf permutations, rebuilt from their
+    labels."""
+    from selfsim.permq import _labels_to_leaf
+
+    return [_labels_to_leaf(lv, basis.p, basis.n) for lv in basis.labels]
+
+
+def _commutator_arrays(arrs):
+    """Nontrivial commutators of every unordered pair, skipping pairs with
+    disjoint support (they commute outright)."""
+    from selfsim.permq import invert_perm
+
+    out = []
+    if not arrs:
+        return out
+    iden = np.arange(len(arrs[0]), dtype=np.int64)
+    invs = [invert_perm(x) for x in arrs]
+    masks = [x != iden for x in arrs]
+    for i, x in enumerate(arrs):
+        for j in range(i + 1, len(arrs)):
+            if not bool(np.any(masks[i] & masks[j])):
+                continue
+            c = invs[i][invs[j][x[arrs[j]]]]
+            if not np.array_equal(c, iden):
+                out.append(c)
+    return out
+
+
+def reference_derived_chain(gens, p, n, k=1):
+    """k-th derived subgroup of the level-n image generated by `gens`,
+    each round's commutators formed from leaf permutations (the basis rows
+    rebuilt as leaves); the oracle for `permq.derived_chain`, which forms
+    them as packed label vectors."""
+    from selfsim.permq import LevelPerm, tree_pivot_basis
+
+    if k < 1:
+        raise ValueError("derivation depth must be >= 1")
+    ambient = [
+        g.images if isinstance(g, LevelPerm) else np.asarray(g, dtype=np.int64)
+        for g in gens
+    ]
+    cur = ambient
+    for _ in range(k):
+        out = tree_pivot_basis(_commutator_arrays(cur), p, n, conj_arrays=ambient)
+        cur = basis_leaves(out)
+        if not cur:
+            break
+    return out
+
+
 def reference_density_check(spec, H, n):
     """Whether H's level-n image is the whole group's, by building both
     pivot bases at level n; the oracle for `permq.density_check`, which
@@ -57,7 +130,6 @@ def reference_stab_in_derived_check(spec, n):
     from selfsim.permq import (
         StabDerivedEntry,
         StabDerivedReport,
-        derived_chain,
         group_chain,
         level_perm,
     )
@@ -74,7 +146,7 @@ def reference_stab_in_derived_check(spec, n):
     gen_arrays = [level_perm(g, n).images for g in generating_set(spec)]
     entries = []
     for ell, depth in checks:
-        derived = derived_chain(gen_arrays, spec.p, n, depth)
+        derived = reference_derived_chain(gen_arrays, spec.p, n, depth)
         # the derived image lies in the level image, so its tail is its
         # intersection with the stabilizer, which is the stabilizer's
         # image exactly when the orders agree
@@ -244,17 +316,12 @@ def reference_pivot_basis(gen_arrays, p, n, conj_arrays=None):
     and finds the next pivot by argmax.  The oracle for the packed-integer
     reduction, which must return the same keys and labels, and whose
     composed vertex maps the engine's labels must determine."""
-    from selfsim.permq import (
-        _assert_cyclic_blocks,
-        _depth_start,
-        _invert_labels,
-        _leaf_to_labels,
-    )
+    from selfsim.permq import _depth_start, _invert_labels, _leaf_to_labels
 
     gens = [np.asarray(a, dtype=np.int64) for a in gen_arrays]
     conj_leaf = [np.asarray(c, dtype=np.int64) for c in (conj_arrays or ())]
     for arr in gens + conj_leaf:
-        _assert_cyclic_blocks(arr, p, n)
+        assert_cyclic_blocks(arr, p, n)
     V = _depth_start(p, n)
     iden_v = np.arange(V, dtype=np.int64)
     conj_pairs = []

@@ -10,7 +10,7 @@ output on failure.
 import random
 import time
 
-from brute_force import closure_order
+from brute_force import closure_order, reference_stab_in_derived_check
 from selfsim import (
     SubgroupDesc,
     all_ones,
@@ -194,13 +194,12 @@ def test_stabilizer_lift_shape(ge):
     _timed("stabilizer_lift", 60.0, body)
 
 
-def test_stabilizer_images_in_derived(ge, grig, fg):
+def test_stabilizer_images_in_derived(fg):
+    # at p = 2 the only entry is proved; test_stab_in_derived_matches_reference
+    # compares those cases with the level-n oracle field by field
     def body():
-        for spec in (ge, grig):
-            for n in range(5, 9):
-                rep = stab_in_derived_check(spec, n)
-                assert rep.passed, (spec.coeffs, n)
         rep = stab_in_derived_check(fg, 5)
+        assert rep == reference_stab_in_derived_check(fg, 5)
         assert rep.passed and len(rep.entries) == 2
 
     _timed("stabilizer_in_derived", 300.0, body)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from brute_force import basis_leaves
 from selfsim import (
     SubgroupDesc,
     b_letter,
@@ -297,10 +298,55 @@ def test_maximals_are_distinct_hyperplanes(ge, grig, fg):
             images.append(sub)
         distinct = []
         for sub in images:
-            rows = sub.pivots()
+            rows = basis_leaves(sub)
             if not any(all(other.member(r) for r in rows) for other in distinct):
                 distinct.append(sub)
         assert len(distinct) == len(images) == (p ** (spec.m + 1) - 1) // (p - 1)
+
+
+def test_maximal_count_visits_normalized_functionals_only(monkeypatch):
+    # a normalized functional starts with lambda_a = 0 or 1, so at most
+    # 2 p^m are read, whatever p is, and in the order of all of them
+    from selfsim.core import GroupSpec
+
+    coords_of = GroupSpec.coords_of
+    reads = []
+
+    def spy(self, code):
+        reads.append(code)
+        return coords_of(self, code)
+
+    for p, coeffs in ((2, (1, 0)), (3, (1,)), (5, (1, 1)), (7, (1,))):
+        spec = make_spec(p, coeffs)
+        every = [(la,) + coords_of(spec, c) for la in range(p) for c in range(spec.pm)]
+        want = [f for f in every if any(f) and next(v for v in f if v) == 1]
+        monkeypatch.setattr(GroupSpec, "coords_of", spy)
+        reads.clear()
+        count = count_finite_index_maximals(spec)
+        monkeypatch.undo()
+        assert len(reads) <= 2 * p**spec.m, (p, coeffs)
+        assert [d.functional for d in count.descriptors] == want, (p, coeffs)
+
+
+def test_directed_sections_read_one_wreath_per_letter(monkeypatch):
+    # the item reads the p sections of each basis letter off one wreath
+    # pass; at odd p no other item of the suite makes one, so the suite
+    # makes m passes whatever p is
+    import selfsim.elements
+
+    wreath_letters = selfsim.elements._wreath_letters
+    passes = []
+
+    def spy(spec, letters):
+        passes.append(letters)
+        return wreath_letters(spec, letters)
+
+    monkeypatch.setattr(selfsim.elements, "_wreath_letters", spy)
+    for coeffs in ((1,), (1, 1)):
+        for p in (3, 5, 7, 11):
+            passes.clear()
+            assert identity_suite(make_spec(p, coeffs)).passed
+            assert len(passes) == len(coeffs), (p, coeffs)
 
 
 def test_faithful_action(ge, grig, fg, dih):

@@ -213,9 +213,20 @@ def test_verify_all_specs(capsys):
     assert "suite=branching item=all status=skip witness=degenerate" in out
 
 
-def test_verify_congruence_lines(capsys):
-    # the first inclusion is proved at level m + 1; the second derived
-    # subgroup (odd p) is still checked at level m + 4
+def test_verify_congruence_lines(capsys, monkeypatch):
+    # the first inclusion is proved at level m + 1, so p = 2 checks nothing
+    # at a level; the second derived subgroup (odd p) is still checked at
+    # level m + 4
+    import selfsim.cli
+
+    check = selfsim.cli.stab_in_derived_check
+    levels = []
+
+    def spy(spec, n):
+        levels.append(n)
+        return check(spec, n)
+
+    monkeypatch.setattr(selfsim.cli, "stab_in_derived_check", spy)
     want = {
         GE: ["suite=congruence item=st3_in_derived1 status=pass witness=proved_n3"],
         GRIG: ["suite=congruence item=st3_in_derived1 status=pass witness=proved_n3"],
@@ -228,6 +239,7 @@ def test_verify_congruence_lines(capsys):
         assert main(["verify", path]) == 0
         out = capsys.readouterr().out.splitlines()
         assert [line for line in out if line.startswith("suite=congruence")] == lines
+    assert levels == [5]
 
 
 def test_records_schema_and_stability(tmp_path, capsys):
@@ -300,3 +312,16 @@ def test_levels_over_cap_refused_up_front(capsys):
         assert main(argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and "LevelTooLarge" in err, argv
+
+
+def test_large_p_levels_and_verify(tmp_path, capsys):
+    # labels of p = 32771 need more than int16; verify refuses the level
+    # of its second congruence check with a typed error rather than hang
+    path = tmp_path / "big.spec"
+    path.write_text("p = 32771\nf = 1\n")
+    assert main(["levels", str(path), "--max", "1"]) == 0
+    assert capsys.readouterr().out == "n=1 order=32771\n"
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "suite=identity item=directed_sections status=pass" in captured.out
+    assert captured.err.startswith("error: LevelTooLarge: ")

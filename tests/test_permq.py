@@ -7,9 +7,12 @@ import pytest
 
 from brute_force import (
     _compose,
+    assert_cyclic_blocks,
+    basis_leaves,
     closure_elements,
     closure_order,
     reference_density_check,
+    reference_derived_chain,
     reference_pivot_basis,
     reference_stab_in_derived_check,
 )
@@ -86,6 +89,23 @@ def random_tree_perm(rng, p, n, support=1.0, top=0):
                 shift[prefix] = rng.randrange(p) if live else 0
             s = shift[prefix]
             img = img * p + (digits[d] + s) % p
+        images.append(img)
+    return np.array(images, dtype=np.int64)
+
+
+def random_block_perm(rng, p, n):
+    """Permutation that keeps the p-ary blocks, permuting each vertex's
+    children by a uniform permutation of Z/p, cyclic or not."""
+    moves = {}
+    images = []
+    for leaf in range(p**n):
+        digits = [(leaf // p ** (n - 1 - d)) % p for d in range(n)]
+        img = 0
+        for d in range(n):
+            prefix = tuple(digits[:d])
+            if prefix not in moves:
+                moves[prefix] = rng.sample(range(p), p)
+            img = img * p + moves[prefix][digits[d]]
         images.append(img)
     return np.array(images, dtype=np.int64)
 
@@ -250,7 +270,7 @@ def test_membership_oracle_odd_p_and_tails(ge, fg):
     for spec, n in ((fg, 3), (make_spec(5, (4,)), 3), (ge, 5)):
         p, N = spec.p, spec.p**n
         basis = group_chain(spec, n)
-        rows = basis.pivots()
+        rows = basis_leaves(basis)
         cases = [
             random_tree_perm(rng, p, n, support)
             for support in (0.25, 1.0)
@@ -292,7 +312,7 @@ def test_chain_determinism(ge):
     c1 = chain_from(group_desc(ge), 4)
     c2 = chain_from(group_desc(ge), 4)
     assert c1.order == c2.order
-    p1, p2 = c1.pivots(), c2.pivots()
+    p1, p2 = basis_leaves(c1), basis_leaves(c2)
     assert len(p1) == len(p2) == 12
     for g1, g2 in zip(p1, p2):
         assert np.array_equal(g1, g2)
@@ -300,8 +320,8 @@ def test_chain_determinism(ge):
 
 
 def test_basis_rows_pinned(ge, grig, fg):
-    # derived_chain consumes the rows in this order through pivots(); the
-    # digest covers keys, labels and the vertex maps the labels determine,
+    # derived_chain takes the rows in this order as the next round's
+    # generators; the digest covers keys, labels and the vertex maps the labels determine,
     # byte for byte.  The cases cover both add rules (p = 2 and odd p),
     # normal closures and derived terms.
     fg_gens = [level_perm(g, 4).images for g in generating_set(fg)]
@@ -499,6 +519,57 @@ def test_derived_chain_vs_brute(grig, fg):
         derived_chain(gens, 3, 2, 0)
 
 
+def test_derived_chain_matches_reference(grig, fg):
+    # commutators packed from row actions against the leaf-permutation
+    # rounds they replaced: the same order, keys and labels, byte for byte
+    cases = [(grig, n) for n in range(3, 8)] + [(fg, n) for n in range(3, 6)]
+    cases += [(make_spec(3, (1, 1)), n) for n in (4, 5)] + [(make_spec(5, (1, 1)), 3)]
+    for spec, n in cases:
+        gens = [level_perm(g, n).images for g in generating_set(spec)]
+        for k in (1, 2):
+            got = derived_chain(gens, spec.p, n, k)
+            want = reference_derived_chain(gens, spec.p, n, k)
+            case = (spec.p, spec.coeffs, n, k)
+            assert got.order == want.order, case
+            assert got.keys.tobytes() == want.keys.tobytes(), case
+            assert got.labels.tobytes() == want.labels.tobytes(), case
+
+
+def test_leaf_to_labels_refuses_what_the_block_check_refuses():
+    # the checked read against the block-by-block check it replaced, on
+    # wreath-power elements, block-preserving permutations whose children
+    # move by any permutation (at odd p mostly not a cyclic shift) and
+    # uniform shuffles; what it accepts, its labels rebuild
+    rng = random.Random(17)
+    for p, top in ((2, 4), (3, 3), (5, 2)):
+        seen = set()
+        for n in range(1, top + 1):
+            N = p**n
+            for kind in ("wreath", "blocks", "shuffle"):
+                for _ in range(30):
+                    if kind == "wreath":
+                        x = random_tree_perm(rng, p, n, rng.choice((0.25, 1.0)))
+                    elif kind == "blocks":
+                        x = random_block_perm(rng, p, n)
+                    else:
+                        x = np.array(rng.sample(range(N), N), dtype=np.int64)
+                    try:
+                        assert_cyclic_blocks(x, p, n)
+                        want = True
+                    except StructureError:
+                        want = False
+                    try:
+                        lv = _leaf_to_labels(x, p, n)[0]
+                        got = True
+                    except StructureError:
+                        got = False
+                    assert got == want, (p, n, kind, x)
+                    if got:
+                        assert np.array_equal(_labels_to_leaf(lv, p, n), x)
+                    seen.add((kind, got))
+        assert {("wreath", True), ("blocks", p == 2), ("shuffle", False)} <= seen, p
+
+
 def test_prefix_kernel_order(ge, grig, fg):
     for spec, ell, n in ((ge, 1, 3), (ge, 2, 4), (grig, 1, 4), (fg, 1, 2)):
         kernel = group_chain(spec, n).tail(_depth_start(spec.p, ell))
@@ -519,7 +590,7 @@ def test_stab_in_derived_orders_vs_membership(ge, grig, fg):
             for ell in range(1, n):
                 start = _depth_start(spec.p, ell)
                 by_order = derived.tail(start).order == chain.tail(start).order
-                by_member = all(derived.member(k) for k in chain.tail(start).pivots())
+                by_member = all(derived.member(k) for k in basis_leaves(chain.tail(start)))
                 assert by_order == by_member, (spec, n, depth, ell)
                 seen.add(by_order)
     assert seen == {True, False}
@@ -577,7 +648,7 @@ def test_stab_in_derived_matches_reference(ge, grig, fg):
         with pytest.raises(ValueError):
             reference_stab_in_derived_check(spec, n)
         chain = group_chain(spec, n)
-        derived = derived_chain([level_perm(g, n) for g in generating_set(spec)], p, n)
+        derived = derived_chain([level_perm(g, n).images for g in generating_set(spec)], p, n)
         assert derived.order == chain.order // p ** (spec.m + 1), coeffs
         assert derived.stabilizer(spec.m + 1).order == chain.stabilizer(spec.m + 1).order
     for spec, n in cases:
@@ -590,7 +661,8 @@ def test_stab_in_derived_matches_reference(ge, grig, fg):
 
 def test_stab_in_derived_builds_derived_terms_once(ge, grig, fg, monkeypatch):
     # p = 2: the first inclusion is proved, so only the basis of G_n is built;
-    # odd p: one derived_chain call builds G_n'' (and G_n' on the way)
+    # odd p: one derived_chain call builds G_n'' (and G_n' on the way); each
+    # generator's level-n permutation is evaluated once for both
     calls = []
 
     def spy(name, fn):
@@ -600,17 +672,20 @@ def test_stab_in_derived_builds_derived_terms_once(ge, grig, fg, monkeypatch):
 
         monkeypatch.setattr(permq, name, wrapped)
 
+    spy("level_perm", permq.level_perm)
     spy("tree_pivot_basis", permq.tree_pivot_basis)
     spy("derived_chain", permq.derived_chain)
     for spec in (ge, grig):
         calls.clear()
         stab_in_derived_check(spec, 8)
-        assert calls == ["tree_pivot_basis"]
+        assert calls == ["level_perm"] * 3 + ["tree_pivot_basis"]
     calls.clear()
     stab_in_derived_check(fg, 5)
     assert calls.count("derived_chain") == 1
-    # G_5, then G_5' and G_5'' inside the one derived_chain call
-    assert calls == ["tree_pivot_basis", "derived_chain", "tree_pivot_basis", "tree_pivot_basis"]
+    # a and b, G_5, then G_5' and G_5'' inside the one derived_chain call
+    assert calls == ["level_perm"] * 2 + [
+        "tree_pivot_basis", "derived_chain", "tree_pivot_basis", "tree_pivot_basis"
+    ]
 
 
 def test_branch_group(ge, grig, fg, dih):
