@@ -13,7 +13,6 @@ from .core import (
     is_torsion,
     make_spec,
     parse_spec_file,
-    subspace_Bi,
 )
 from .elements import (
     AbelImage,

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .elements import (
     Element,
-    abelianize,
     b_letter,
     basis_gens,
     commutator,
@@ -33,10 +32,8 @@ from .elements import (
     equal_elements,
     find_cd,
     gen_a,
-    generating_set,
     identity,
     invert,
-    is_trivial,
     multiply,
     phi_lift,
     power,
@@ -302,12 +299,10 @@ def reduction_trace(spec: GroupSpec, q: int, g: Element, max_steps: int = 64) ->
 @dataclass(frozen=True)
 class MaximalDesc:
     """An index-p subgroup given as the pullback of a hyperplane: the
-    functional lists its values on (a, b_0, ..., b_{m-1}); coset_gens are
-    explicit elements generating it together with the derived subgroup."""
+    functional lists its values on (a, b_0, ..., b_{m-1})."""
 
     functional: tuple[int, ...]
     index: int
-    coset_gens: tuple[Element, ...]
 
 
 @dataclass(frozen=True)
@@ -332,7 +327,6 @@ def count_finite_index_maximals(spec: GroupSpec) -> MaximalCount:
     if spec.is_degenerate:
         raise DegenerateCase("the dihedral case is excluded")
     p = spec.p
-    gens = generating_set(spec)
     descs = []
     # a functional with lambda_a > 1 is not normalized, so only 0 and 1
     for lam_a in range(min(p, 2)):
@@ -341,11 +335,7 @@ def count_finite_index_maximals(spec: GroupSpec) -> MaximalCount:
             pivot = next((i for i, v in enumerate(functional) if v), None)
             if pivot is None or functional[pivot] != 1:
                 continue
-            members = [power(gens[pivot], p)]
-            for i, s in enumerate(gens):
-                if i != pivot:
-                    members.append(multiply(s, power(invert(gens[pivot]), functional[i])))
-            descs.append(MaximalDesc(functional, p, tuple(members)))
+            descs.append(MaximalDesc(functional, p))
     return MaximalCount(len(descs), tuple(descs))
 
 
@@ -385,7 +375,7 @@ def classify(spec: GroupSpec) -> ClassifyReport:
         m=spec.m,
         coeffs=spec.coeffs,
         degenerate=degenerate,
-        # GroupSpec._check_faithful refuses unfaithful specs at construction.
+        # every valid spec is faithful: the lemma in `GroupSpec`
         faithful=True,
         torsion=torsion,
         witness=witness,

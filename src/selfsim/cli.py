@@ -22,7 +22,6 @@ from .errors import (
     WordSyntaxError,
 )
 from .elements import (
-    Element,
     ExceedsBound,
     act_on_vertex,
     b_length,

@@ -8,10 +8,10 @@ the wreath recursion
 
     v  =  (a^{omega(v)}, 1, ..., 1, rho(v))
 
-with rho the companion matrix of f and omega the last-coordinate functional.
+with rho the companion action of f and omega the last-coordinate functional.
 This module holds the finite-field side of the story: validation of (p, f),
-the rho/omega maps, subspaces of B, the torsion test, and the search for a
-letter b with recursion b = (a, b) (the "dihedral witness", so called because
+the rho/omega code tables, the torsion test, and the search for a letter b
+with recursion b = (a, b) (the "dihedral witness", so called because
 <a, b> is then an infinite dihedral group).
 
 Vectors of B are handled in two forms: the public `BVec` (a coordinate
@@ -21,7 +21,7 @@ tuple) and an internal integer code sum(v_i * p^i) used for table lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     DegenerateCase,
@@ -30,7 +30,6 @@ from .errors import (
     NonInvertiblePolynomial,
     NonPrimeP,
     SpecFileError,
-    StructureError,
     WrongCharacteristic,
 )
 
@@ -52,6 +51,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _digit_table(p: int, maps: Sequence[Sequence[int]]) -> list[int]:
+    """For every code in order, the code of its image under the digitwise
+    map that sends digit j of the vector to maps[j][digit]."""
+    table = [0]
+    scale = 1
+    for digit_map in maps:
+        table = [x + scale * digit_map[u] for u in range(p) for x in table]
+        scale *= p
+    return table
+
+
 @dataclass(frozen=True)
 class BVec:
     """A vector of B in the canonical letter basis, coordinates mod p."""
@@ -71,56 +81,6 @@ class BVec:
         return not any(self.coords)
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of B stored as a row-reduced echelon basis (deterministic,
-    so two computations of the same subspace compare equal)."""
-
-    p: int
-    basis: tuple[tuple[int, ...], ...]
-    dim: int
-
-    def contains(self, v: BVec | Sequence[int]) -> bool:
-        coords = list(v.coords if isinstance(v, BVec) else v)
-        p = self.p
-        coords = [c % p for c in coords]
-        for row in self.basis:
-            pivot = next(i for i, c in enumerate(row) if c)
-            if coords[pivot]:
-                factor = coords[pivot]
-                coords = [(c - factor * r) % p for c, r in zip(coords, row)]
-        return not any(coords)
-
-
-def _rref(p: int, rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Row-reduce over F_p; returns sorted nonzero rows with unit pivots."""
-    mat = [list(c % p for c in row) for row in rows]
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    pivot_row = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(pivot_row, len(mat)):
-            if mat[r][col] % p:
-                sel = r
-                break
-        if sel is None:
-            continue
-        mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
-        inv = pow(mat[pivot_row][col], p - 2, p)
-        mat[pivot_row] = [(x * inv) % p for x in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    out = [tuple(row) for row in mat if any(row)]
-    return tuple(out)
-
-
 class GroupSpec:
     """Validated, immutable definition of one group.
 
@@ -128,20 +88,35 @@ class GroupSpec:
         p: tree arity (prime).
         m: degree of f.
         coeffs: (a_0, ..., a_{m-1}) with f = x^m + a_{m-1} x^{m-1} + ... + a_0.
-        rho: companion matrix of f as a tuple of rows (acts on column vectors).
-        omega: the last-coordinate functional (0, ..., 0, 1).
 
-    Construction precomputes lookup tables indexed by vector codes
-    (code = sum v_i p^i) so that element arithmetic never redoes the linear
-    algebra: `rho_code`, `rho_inv_code`, `omega_code`, `neg_code`.
+    Construction builds lookup tables indexed by vector codes
+    (code = sum v_i p^i) straight from the coefficients, so that element
+    arithmetic never redoes the linear algebra: `rho_code`, `rho_inv_code`,
+    `omega_code`, `neg_code`, for
+
+        rho(v)   = (0, v_0, ..., v_{m-2}) - v_{m-1} (a_0, ..., a_{m-1}),
+        omega(v) = v_{m-1}.
+
+    Every spec that passes validation (p prime, a_0 != 0) has the three
+    properties the group theory needs, so none is re-checked:
+
+    - Faithful: by the recursion, the letter v acts trivially on the whole
+      tree iff omega(rho^k v) = 0 for every k.  Now rho e_i = e_{i+1} for
+      i < m - 1, so omega(rho^k e_j) is 0 when j + k < m - 1 and 1 when
+      j + k = m - 1.  The m x m matrix (omega(rho^k e_j)) is
+      anti-triangular with a unit anti-diagonal, so that common kernel is
+      0: no nonzero letter acts trivially.
+    - Invertible: rho is the companion matrix of f, so det rho = +-a_0,
+      which is nonzero.
+    - f(rho) = 0: f is the characteristic polynomial of rho (Cayley-
+      Hamilton).  Directly, rho^k e_0 = e_k for k < m and rho^m e_0 = -a,
+      so f(rho) e_0 = 0; f(rho) commutes with rho and e_0 is cyclic.
     """
 
     __slots__ = (
         "p",
         "m",
         "coeffs",
-        "rho",
-        "omega",
         "pm",
         "rho_code",
         "rho_inv_code",
@@ -163,19 +138,8 @@ class GroupSpec:
         self.p = p
         self.m = m
         self.coeffs = coeffs
-        # Companion matrix: column i (i < m-1) is e_{i+1}; the last column is
-        # (-a_0, ..., -a_{m-1}).
-        rho = [[0] * m for _ in range(m)]
-        for i in range(m - 1):
-            rho[i + 1][i] = 1
-        for j in range(m):
-            rho[j][m - 1] = (-coeffs[j]) % p
-        self.rho = tuple(tuple(row) for row in rho)
-        self.omega = tuple([0] * (m - 1) + [1])
         self.pm = p**m
         self._build_tables()
-        self._check_cayley_hamilton()
-        self._check_faithful()
 
     # -- vector code helpers -------------------------------------------------
 
@@ -210,69 +174,23 @@ class GroupSpec:
         return out
 
     def _build_tables(self) -> None:
-        p, m, pm = self.p, self.m, self.pm
-        rho_code = [0] * pm
-        omega_code = [0] * pm
-        neg_code = [0] * pm
-        for code in range(pm):
-            v = self.coords_of(code)
-            img = [0] * m
-            for r in range(m):
-                acc = 0
-                for c in range(m):
-                    acc += self.rho[r][c] * v[c]
-                img[r] = acc % p
-            rho_code[code] = self.code_of(img)
-            omega_code[code] = v[m - 1]
-            neg_code[code] = self.code_of([-x for x in v])
-        rho_inv_code = [0] * pm
+        p, m, coeffs = self.p, self.m, self.coeffs
+        block = self.pm // p
+        digits = range(p)
+        # A code is c + block t with c < block = p^(m-1) and t = v_{m-1};
+        # rho shifts c's digits up one place and adds d = -t (a_0, ..., a_{m-1}).
+        rho_code = []
+        for t in digits:
+            d = [(-t * a) % p for a in coeffs]
+            shifted = _digit_table(p, [[(u + e) % p for u in digits] for e in d[1:]])
+            rho_code += [d[0] + p * x for x in shifted]
+        rho_inv_code = [0] * self.pm
         for code, img in enumerate(rho_code):
             rho_inv_code[img] = code
-        if sorted(rho_code) != list(range(pm)):
-            raise StructureError("companion matrix is not invertible on codes")
         self.rho_code = tuple(rho_code)
         self.rho_inv_code = tuple(rho_inv_code)
-        self.omega_code = tuple(omega_code)
-        self.neg_code = tuple(neg_code)
-
-    def _check_cayley_hamilton(self) -> None:
-        # f(rho) = rho^m + a_{m-1} rho^{m-1} + ... + a_0 I must vanish.
-        p, m = self.p, self.m
-        def matmul(A, B):
-            return [
-                [sum(A[r][k] * B[k][c] for k in range(m)) % p for c in range(m)]
-                for r in range(m)
-            ]
-        ident = [[1 if r == c else 0 for c in range(m)] for r in range(m)]
-        acc = [[0] * m for _ in range(m)]
-        power = [row[:] for row in ident]
-        rho = [list(row) for row in self.rho]
-        for k in range(m):
-            coef = self.coeffs[k]
-            for r in range(m):
-                for c in range(m):
-                    acc[r][c] = (acc[r][c] + coef * power[r][c]) % p
-            power = matmul(power, rho)
-        for r in range(m):
-            for c in range(m):
-                acc[r][c] = (acc[r][c] + power[r][c]) % p
-        if any(any(row) for row in acc):
-            raise StructureError("Cayley-Hamilton identity failed for rho")
-
-    def _check_faithful(self) -> None:
-        # Every nonzero vector's forward rho-orbit must hit omega != 0;
-        # otherwise some letter would act trivially on the whole tree.
-        # Compute the largest subset of ker(omega) closed under rho.
-        stuck = {c for c in range(self.pm) if self.omega_code[c] == 0}
-        while True:
-            nxt = {c for c in stuck if self.rho_code[c] in stuck}
-            if nxt == stuck:
-                break
-            stuck = nxt
-        if stuck != {0}:
-            raise StructureError(
-                "faithfulness check failed: a nonzero letter acts trivially"
-            )
+        self.omega_code = tuple(t for t in digits for _ in range(block))
+        self.neg_code = tuple(_digit_table(p, [[(-u) % p for u in digits]] * m))
 
     # -- equality / hashing --------------------------------------------------
 
@@ -296,21 +214,8 @@ class GroupSpec:
 
 
 def make_spec(p: int, coeffs: Sequence[int]) -> GroupSpec:
-    """Validate (p, f) and build a GroupSpec with its matrix and tables."""
+    """Validate (p, f) and build a GroupSpec with its code tables."""
     return GroupSpec(p, coeffs)
-
-
-def subspace_Bi(spec: GroupSpec, i: int) -> Subspace:
-    """The subspace rho^i(ker omega); dimension m - 1 for every integer i."""
-    p, m = spec.p, spec.m
-    # ker omega is spanned by the first m-1 basis vectors.
-    basis_codes = [spec.code_of([1 if j == k else 0 for j in range(m)]) for k in range(m - 1)]
-    table = spec.rho_code if i >= 0 else spec.rho_inv_code
-    for _ in range(abs(i)):
-        basis_codes = [table[c] for c in basis_codes]
-    rows = [spec.coords_of(c) for c in basis_codes]
-    rref = _rref(p, rows)
-    return Subspace(p, rref, len(rref))
 
 
 def is_torsion(spec: GroupSpec) -> bool:
@@ -368,10 +273,12 @@ def parse_spec_file(text: str) -> GroupSpec:
     Recognized lines (whitespace around `=` and commas is ignored):
         p = <prime>
         f = a0, a1, ..., a{m-1}     # monic leading coefficient implied
-    Blank lines and `#` comments are allowed anywhere.
+    Each key appears once.  Blank lines and `#` comments are allowed
+    anywhere.
     """
     p_val: Optional[int] = None
     coeffs: Optional[list[int]] = None
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -381,6 +288,9 @@ def parse_spec_file(text: str) -> GroupSpec:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise SpecFileError(f"line {lineno}: repeated key {key!r}")
+        seen.add(key)
         if key == "p":
             try:
                 p_val = int(value)

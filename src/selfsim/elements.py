@@ -333,7 +333,7 @@ def _trivial_rec(spec: GroupSpec, letters: Letters) -> bool:
         return True
     if len(letters) == 1:
         # Single letters act nontrivially: a-powers move the root level,
-        # and the faithfulness check at spec construction covers B.
+        # and B-letters by the faithfulness lemma in `GroupSpec`.
         return False
     root, secs = _wreath_letters(spec, letters)
     return not root and all(_trivial_rec(spec, s) for s in secs)

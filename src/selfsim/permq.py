@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ENUMERATION_CAP, GroupSpec, subspace_Bi
+from .core import ENUMERATION_CAP, GroupSpec
 from .errors import (
     DegenerateCase,
     LevelMismatch,
@@ -39,9 +39,9 @@ from .errors import (
 from .elements import (
     Element,
     basis_gens,
-    b_letter,
     commutator,
     gen_a,
+    gen_b,
     generating_set,
 )
 
@@ -734,14 +734,14 @@ def stab_in_derived_check(spec: GroupSpec, n: int) -> StabDerivedReport:
 
 def branch_group_desc(spec: GroupSpec) -> SubgroupDesc:
     """The branching subgroup: for p = 2 (m >= 2) the normal closure of the
-    commutators of a with the letters of rho(ker omega); for odd p the
+    commutators of a with the basis letters e_1, ..., e_{m-1} of
+    rho(ker omega) (rho e_i = e_{i+1}, see `GroupSpec`); for odd p the
     derived subgroup as a normal closure of generator commutators."""
     if spec.is_degenerate:
         raise DegenerateCase("(2, 1) has no branching subgroup here")
     a = gen_a(spec)
     if spec.p == 2:
-        rows = subspace_Bi(spec, 1).basis
-        gens = [commutator(a, b_letter(spec, row)) for row in rows]
+        gens = [commutator(a, gen_b(spec, i)) for i in range(1, spec.m)]
         return SubgroupDesc("K", gens, True, spec)
     gens = [commutator(a, x) for x in basis_gens(spec)]
     return SubgroupDesc("Gprime", gens, True, spec)
@@ -778,8 +778,8 @@ def density_check(spec: GroupSpec, H: SubgroupDesc, n: int) -> bool:
     - At level m + 1 the label sum at each depth 0..m is a homomorphism
       of the wreath power, sending a to e_0 and b_x to
       (0, w(x), w(rho x), ..., w(rho^(m-1) x)).  These are independent:
-      by Cayley-Hamilton their common kernel on B is a rho-invariant
-      subspace of ker w, which `GroupSpec._check_faithful` makes 0.
+      the matrix (w(rho^k e_j)) is anti-triangular with a unit
+      anti-diagonal (the faithfulness lemma in `GroupSpec`).
     - So |G_{m+1} : G_{m+1}'| = p^(m+1), and for every n >= m + 1 the
       map G_n/G_n' -> G_{m+1}/G_{m+1}' is an isomorphism.
     - By Burnside's basis theorem H_n = G_n iff H_n Phi(G_n) = G_n iff

@@ -3,14 +3,57 @@ of the pivot basis they check, the slow reduction loop the pivot basis
 replaced, the nested wreath pass the flat letter loop replaced, the
 level-n density comparison that density at level m + 1 replaced, the
 per-level conjugation check that one build at the deepest level replaced,
-the level-n derived bases that the proved St_G(m+1) <= G' replaced, and
-the derived terms formed from leaf permutations, with the block check
-that the checked read of a level image replaced."""
+the level-n derived bases that the proved St_G(m+1) <= G' replaced, the
+derived terms formed from leaf permutations, with the block check
+that the checked read of a level image replaced, the companion-matrix
+code tables that the tables built straight from f replaced, and explicit
+generators of each index-p kernel."""
 
 from collections import deque
 from typing import NamedTuple
 
 import numpy as np
+
+
+def reference_code_tables(spec):
+    """(rho_code, rho_inv_code, omega_code, neg_code) built through the
+    m x m companion matrix of f, one matrix-vector product per code; the
+    oracle for the tables `GroupSpec` builds straight from f."""
+    p, m, pm = spec.p, spec.m, spec.pm
+    # column i (i < m - 1) is e_{i+1}; the last column is -(a_0, ..., a_{m-1})
+    rho = [[0] * m for _ in range(m)]
+    for i in range(m - 1):
+        rho[i + 1][i] = 1
+    for j in range(m):
+        rho[j][m - 1] = (-spec.coeffs[j]) % p
+    rho_code, omega_code, neg_code = [0] * pm, [0] * pm, [0] * pm
+    for code in range(pm):
+        v = spec.coords_of(code)
+        img = [sum(rho[r][c] * v[c] for c in range(m)) % p for r in range(m)]
+        rho_code[code] = spec.code_of(img)
+        omega_code[code] = v[m - 1]
+        neg_code[code] = spec.code_of([-x for x in v])
+    rho_inv_code = [0] * pm
+    for code, img in enumerate(rho_code):
+        rho_inv_code[img] = code
+    return tuple(rho_code), tuple(rho_inv_code), tuple(omega_code), tuple(neg_code)
+
+
+def kernel_generators(spec, functional):
+    """Elements that generate, together with the derived subgroup, the
+    kernel of a normalized functional on G/G' = F_p^(m+1) (values on a,
+    b_0, ..., b_{m-1}, first nonzero value 1): the p-th power of the pivot
+    generator s, and every other generator t times s^(-functional(t))."""
+    from selfsim.elements import generating_set, invert, multiply, power
+
+    gens = generating_set(spec)
+    pivot = next(i for i, v in enumerate(functional) if v)
+    inv = invert(gens[pivot])
+    members = [power(gens[pivot], spec.p)]
+    for i, s in enumerate(gens):
+        if i != pivot:
+            members.append(multiply(s, power(inv, functional[i])))
+    return members
 
 
 def closure_elements(arrays):

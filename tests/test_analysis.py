@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from brute_force import basis_leaves
+from brute_force import basis_leaves, kernel_generators
 from selfsim import (
     SubgroupDesc,
     b_letter,
@@ -271,8 +271,9 @@ def test_maximal_descriptors(ge, fg):
         assert all(next(v for v in f if v) == 1 for f in functionals)
         for d in mc.descriptors:
             assert d.index == spec.p
-            assert len(d.coset_gens) == spec.m + 1
-            for g in d.coset_gens:
+            gens = kernel_generators(spec, d.functional)
+            assert len(gens) == spec.m + 1
+            for g in gens:
                 from selfsim import abelianize
 
                 img = abelianize(g)
@@ -282,10 +283,11 @@ def test_maximal_descriptors(ge, fg):
 
 
 def test_maximals_are_distinct_hyperplanes(ge, grig, fg):
-    # the oracle for the count: each descriptor's subgroup (its coset
-    # generators with the generator commutators, closed as a normal
-    # subgroup) built at level m + 1, where G/G' is seen whole; the images
-    # must have index p and be pairwise distinct, one per hyperplane
+    # the oracle for the count: each descriptor's subgroup (the kernel
+    # generators of its functional with the generator commutators, closed
+    # as a normal subgroup) built at level m + 1, where G/G' is seen whole;
+    # the images must have index p and be pairwise distinct, one per
+    # hyperplane
     for spec in (fg, make_spec(5, (1, 1)), make_spec(3, (1, 1)), ge, grig):
         p, n = spec.p, spec.m + 1
         gens = generating_set(spec)
@@ -293,7 +295,8 @@ def test_maximals_are_distinct_hyperplanes(ge, grig, fg):
         whole = group_chain(spec, n).order
         images = []
         for d in count_finite_index_maximals(spec).descriptors:
-            sub = chain_from(SubgroupDesc("M", list(d.coset_gens) + comms, True), n)
+            kernel = kernel_generators(spec, d.functional) + comms
+            sub = chain_from(SubgroupDesc("M", kernel, True), n)
             assert sub.order * p == whole, (spec, d.functional)
             images.append(sub)
         distinct = []

@@ -268,6 +268,10 @@ def test_error_exit_codes(tmp_path, capsys):
     bad.write_text("p = x\nf = 1\n")
     assert main(["classify", str(bad)]) == 2
     capsys.readouterr()
+    repeated = tmp_path / "repeated.spec"
+    repeated.write_text("p = 2\nf = 1,0\np = 3\nf = 2\n")
+    assert main(["classify", str(repeated)]) == 2
+    assert "line 3: repeated key 'p'" in capsys.readouterr().err
     assert main(["eval", GE, "zz"]) == 2
     assert "position" in capsys.readouterr().err
     # semantic domain failures are certificate failures, not parse errors

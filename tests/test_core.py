@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from brute_force import reference_code_tables
 from selfsim import (
     BVec,
     dihedral_witness,
@@ -9,7 +11,6 @@ from selfsim import (
     is_torsion,
     make_spec,
     parse_spec_file,
-    subspace_Bi,
 )
 from selfsim.core import GroupSpec
 from selfsim.errors import (
@@ -111,27 +112,54 @@ def test_divisible(ge, grig, fg, dih):
     assert divisible_by_x_plus_1(dih)
 
 
-def test_subspace_chain(ge, grig, fg):
-    # B_0 is the kernel of the output functional; B_i is its i-th translate
-    # under the cycling map, so every one has dimension m - 1.
-    assert subspace_Bi(ge, 0).dim == 1
-    assert subspace_Bi(ge, 0).contains(BVec((1, 0)))
-    assert subspace_Bi(ge, 1).dim == 1
-    assert subspace_Bi(ge, 1).contains(BVec((0, 1)))
-    assert not subspace_Bi(ge, 1).contains(BVec((1, 0)))
-    # the cycling map of x^2 + 1 is an involution
-    assert subspace_Bi(ge, 2).basis == subspace_Bi(ge, 0).basis
-    assert subspace_Bi(ge, -1).basis == subspace_Bi(ge, 1).basis
-    assert subspace_Bi(grig, 1).dim == 1
-    assert subspace_Bi(grig, 1).contains(BVec((0, 1)))
-    # x^2 + x + 1 cycles ker omega with period 3
-    assert subspace_Bi(grig, 3).basis == subspace_Bi(grig, 0).basis
-    assert subspace_Bi(grig, 2).basis != subspace_Bi(grig, 0).basis
-    assert subspace_Bi(fg, 0).dim == 0
-    assert subspace_Bi(fg, 5).dim == 0
-    for spec in (ge, grig):
-        for i in range(-3, 4):
-            assert subspace_Bi(spec, i).dim == spec.m - 1
+def test_rho_image_of_kernel_is_unit_span(ge, grig, fg):
+    # {rho(v) : omega(v) = 0}, read off the tables, is the span of
+    # e_1, ..., e_{m-1}: exactly the codes whose lowest digit is 0
+    for spec in (ge, grig, fg, make_spec(3, (1, 2, 1)), make_spec(5, (2, 0, 3))):
+        image = {spec.rho_code[c] for c in range(spec.pm) if spec.omega_code[c] == 0}
+        assert image == set(range(0, spec.pm, spec.p))
+
+
+def _small_specs():
+    """Every valid spec with p = 2 (m <= 8), p = 3 (m <= 4), p = 5, 7
+    (m <= 3)."""
+    for p, max_m in ((2, 8), (3, 4), (5, 3), (7, 3)):
+        for m in range(1, max_m + 1):
+            for coeffs in itertools.product(range(p), repeat=m):
+                if coeffs[0]:
+                    yield make_spec(p, coeffs)
+
+
+def test_code_tables_match_companion_matrix():
+    # the tables built straight from f equal the matrix construction, and
+    # the three lemmas in the GroupSpec docstring hold on every code
+    count = 0
+    for spec in _small_specs():
+        count += 1
+        m, pm = spec.m, spec.pm
+        tables = (spec.rho_code, spec.rho_inv_code, spec.omega_code, spec.neg_code)
+        assert tables == reference_code_tables(spec), spec
+        rho = spec.rho_code
+        assert sorted(rho) == list(range(pm)), spec
+        for code in range(pm):
+            # f(rho) v = rho^m v + a_{m-1} rho^{m-1} v + ... + a_0 v
+            powers = [code]
+            for _ in range(m):
+                powers.append(rho[powers[-1]])
+            acc = powers[m]
+            for a_k, v in zip(spec.coeffs, powers):
+                for _ in range(a_k):
+                    acc = spec.code_add(acc, v)
+            assert acc == 0, (spec, code)
+        # the largest rho-invariant subset of ker omega
+        stuck = {c for c in range(pm) if spec.omega_code[c] == 0}
+        while True:
+            nxt = {c for c in stuck if rho[c] in stuck}
+            if nxt == stuck:
+                break
+            stuck = nxt
+        assert stuck == {0}, spec
+    assert count == 801
 
 
 def test_bvec_arithmetic():
@@ -163,6 +191,15 @@ def test_parse_spec_file_errors():
         parse_spec_file("p = two\nf = 1\n")
     with pytest.raises(NonPrimeP):
         parse_spec_file("p = 6\nf = 1\n")
+
+
+def test_parse_spec_file_refuses_repeated_keys():
+    # a repeated key is refused, naming its line, instead of the last one
+    # silently winning
+    with pytest.raises(SpecFileError, match="line 3: repeated key 'p'"):
+        parse_spec_file("p = 2\nf = 1, 0\np = 3\nf = 2\n")
+    with pytest.raises(SpecFileError, match="line 4: repeated key 'f'"):
+        parse_spec_file("p = 2\nf = 1, 0\n# comment\nf = 1, 1\n")
 
 
 def test_code_coords_inverse(fg):
