@@ -141,7 +141,7 @@ def subdirect_lift(spec: GroupSpec, q: int, g: Element) -> SubdirectLift:
         if letter < 0:
             parts.append(power(b, (-letter) % 2))
         else:
-            parts.append(multiply(multiply(a, b_letter(spec, spec.coords_of(spec.rho_inv_code[letter]))), a))
+            parts.append(multiply(multiply(a, Element(spec, (spec.rho_inv_code[letter],))), a))
     s1 = identity(spec)
     for part in parts:
         s1 = multiply(s1, part)
@@ -446,7 +446,7 @@ def identity_suite(spec: GroupSpec) -> SuiteReport:
         for k in range(1, p - 1):
             sec_pairs.append((f"b{i}@{k}", secs[k], one))
         sec_pairs.append(
-            (f"b{i}@{p - 1}", secs[p - 1], b_letter(spec, spec.coords_of(spec.rho_code[x.letters[0]])))
+            (f"b{i}@{p - 1}", secs[p - 1], Element(spec, (spec.rho_code[x.letters[0]],)))
         )
     check("directed_sections", sec_pairs)
 
@@ -462,7 +462,7 @@ def identity_suite(spec: GroupSpec) -> SuiteReport:
         add("commutator_chain", "skip", "needs_p2_m2")
     if p == 2:
         last = basis[m - 1]
-        rho_last = b_letter(spec, spec.coords_of(spec.rho_code[last.letters[0]]))
+        rho_last = Element(spec, (spec.rho_code[last.letters[0]],))
         check(
             "commutator_last",
             [("phi1([a,b_last])", section_at(commutator(a, last), (1,)), multiply(a, rho_last))],
@@ -484,7 +484,7 @@ def identity_suite(spec: GroupSpec) -> SuiteReport:
         pairs = []
         for i, (x, lhs) in enumerate(zip(stab[::2], stab[1::2])):
             code = x.letters[0]
-            rho_x = b_letter(spec, spec.coords_of(spec.rho_code[code]))
+            rho_x = Element(spec, (spec.rho_code[code],))
             omega_a = gen_a(spec, spec.omega_code[code])
             pairs.append((f"b{i}_conj@0", section_at(lhs, (0,)), conjugate(rho_x, ab)))
             pairs.append((f"b{i}_conj@1", section_at(lhs, (1,)), conjugate(omega_a, ba)))

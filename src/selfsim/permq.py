@@ -409,6 +409,7 @@ def tree_pivot_basis(
     p: int,
     n: int,
     conj_arrays: Optional[Sequence[np.ndarray]] = None,
+    max_rows: Optional[int] = None,
 ) -> PivotBasis:
     """Pivot basis of the permutation group the arrays generate, assuming
     they respect the p-ary tree structure (checked); a generator may also
@@ -450,7 +451,19 @@ def tree_pivot_basis(
     For p = 2 the deepest vertex band is elementary abelian and holds
     roughly half the pivots, so material landing there is eliminated with
     bitset arithmetic and band pairs, which commute, are skipped
-    outright."""
+    outright.
+
+    `max_rows`, if given, must be an upper bound on log_p of the group's
+    order; the build returns as soon as it has that many rows, top and
+    band together.  This is exact.  Every row lies in the group and the
+    products of row powers in key order are distinct elements, so
+    p ** rows <= order <= p ** max_rows.  When the two meet, those
+    products are the whole group: any later item reduces to the identity,
+    as one more row would give the drained basis, which describes the
+    group exactly, more than p ** max_rows elements.  Rows never change
+    once installed, so the keys, labels and actions are those of a build
+    that drains its queue.  If the bound is never met, the queue drains
+    as without it."""
     V = _depth_start(p, n)
     iden_v = np.arange(V, dtype=np.int64)
     packed = _PackedVectors(p, n)
@@ -475,6 +488,7 @@ def tree_pivot_basis(
     # bot[pb] is the bitset keyed at band position pb
     bottom0 = _depth_start(p, n - 1) if p == 2 and n else V
     bot: list = [None] * (V - bottom0)
+    band_rows = 0
     botwork: deque = deque()
 
     def moved(rots, bits):
@@ -484,7 +498,9 @@ def tree_pivot_basis(
         return act((rots, 0), bits << bottom0) >> bottom0
 
     def install_bottom(pb, bits):
+        nonlocal band_rows
         bot[pb] = bits
+        band_rows += 1
         # its images under every row's inverse vertex map, then every
         # conjugator's
         for rots, _ in row_invs + conj_invs:
@@ -559,7 +575,8 @@ def tree_pivot_basis(
     )
     batch = iter(())
 
-    while True:
+    # with max_rows None the loop ends only when the queue drains
+    while len(row_acts) + band_rows != max_rows:
         if botwork:
             reduce_bits(botwork.popleft())
             continue
@@ -599,9 +616,35 @@ def group_desc(spec: GroupSpec) -> SubgroupDesc:
     return SubgroupDesc("G", generating_set(spec), False, spec)
 
 
+def log_order_bound(spec: GroupSpec, n: int) -> Optional[int]:
+    """A proven upper bound on x_n = log_p |G_n| for n > s = m + 2, read
+    off one basis of G_s; None for n <= s.
+
+    Every section of an element of G lies in G.  An element g of
+    St_G(n-1) fixes level n - s, so its action on level n is that of its
+    sections at the p^(n-s) vertices of depth n - s on their subtrees of
+    depth s; each section lies in G and fixes level s - 1.  So the kernel
+    St_{G_n}(n-1) of G_n -> G_(n-1) embeds into St_{G_s}(s-1)^(p^(n-s)),
+    and x_n <= x_(n-1) + p^(n-s) (x_s - x_(s-1)).  Summed from s + 1 to n:
+    x_n <= x_s + (x_s - x_(s-1)) (p + p^2 + ... + p^(n-s)).
+
+    Equality in the recursion is the pattern-closure hypothesis (Sunic
+    2011), and it holds on every non-degenerate spec enumerated so far;
+    only the inequality is used here.  On the dihedral spec it is loose."""
+    p, s = spec.p, spec.m + 2
+    if n <= s:
+        return None
+    base = chain_from(group_desc(spec), s)
+    step = len(base.stabilizer(s - 1).keys)
+    return len(base.keys) + step * (p ** (n - s + 1) - p) // (p - 1)
+
+
 def group_chain(spec: GroupSpec, n: int) -> PivotBasis:
-    """Basis of the full level quotient."""
-    return chain_from(group_desc(spec), n)
+    """Basis of the full level quotient G_n.  Above level m + 2 the build
+    stops once it meets `log_order_bound`, which gives the same basis as
+    draining its queue."""
+    gen_arrays = [level_perm(g, n).images for g in generating_set(spec)]
+    return tree_pivot_basis(gen_arrays, spec.p, n, max_rows=log_order_bound(spec, n))
 
 
 def chain_from(desc: SubgroupDesc, n: int) -> PivotBasis:

@@ -75,14 +75,15 @@ def test_levels_builds_one_basis(tmp_path, capsys, monkeypatch):
     build = selfsim.permq.tree_pivot_basis
     levels = []
 
-    def spy(gen_arrays, p, n, conj_arrays=None):
+    def spy(gen_arrays, p, n, conj_arrays=None, max_rows=None):
         levels.append(n)
-        return build(gen_arrays, p, n, conj_arrays)
+        return build(gen_arrays, p, n, conj_arrays, max_rows=max_rows)
 
     monkeypatch.setattr(selfsim.permq, "tree_pivot_basis", spy)
     assert main(["levels", GE, "--max", "8"]) == 0
     capsys.readouterr()
-    assert levels == [8]
+    # one basis at m + 2 for the order bound, one at --max
+    assert levels == [4, 8]
     monkeypatch.undo()
     # the orders read off one basis equal those of one basis per level
     cases = [

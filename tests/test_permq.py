@@ -48,6 +48,7 @@ from selfsim.permq import (
     branch_group_desc,
     group_desc,
     invert_perm,
+    log_order_bound,
     tree_pivot_basis,
 )
 from selfsim.errors import (
@@ -747,9 +748,9 @@ def test_density_builds_nothing_above_m_plus_1(ge, monkeypatch):
     levels = []
     build = selfsim.permq.tree_pivot_basis
 
-    def spy(gen_arrays, p, n, conj_arrays=None):
+    def spy(gen_arrays, p, n, conj_arrays=None, max_rows=None):
         levels.append(n)
-        return build(gen_arrays, p, n, conj_arrays)
+        return build(gen_arrays, p, n, conj_arrays, max_rows=max_rows)
 
     monkeypatch.setattr(selfsim.permq, "tree_pivot_basis", spy)
     h3 = SubgroupDesc("H3", list(hq(ge, 3).generators))
@@ -780,3 +781,72 @@ def test_abelianization_full_at_m_plus_1(dih):
             gens = [level_perm(g, n).images for g in generating_set(spec)]
             derived = derived_chain(gens, spec.p, n)
             assert chain.order // derived.order == spec.p ** (spec.m + 1), (spec, n)
+
+
+BASELINE_SPECS = (
+    (2, (1, 1)),
+    (2, (1, 0)),
+    (2, (1, 0, 0)),
+    (2, (1, 1, 0)),
+    (2, (1, 0, 0, 0)),
+    (3, (2,)),
+    (3, (1, 1)),
+    (3, (2, 0)),
+    (5, (1, 1)),
+)
+
+
+def drained_basis(spec, n):
+    gens = [level_perm(g, n).images for g in generating_set(spec)]
+    return tree_pivot_basis(gens, spec.p, n)
+
+
+def test_order_bound_vs_drained_build(dih):
+    # the bound holds against a build that drains its queue; it is tight
+    # on the baseline specs and loose on the dihedral spec, whose builds
+    # therefore still drain
+    for p, coeffs in BASELINE_SPECS:
+        spec = make_spec(p, coeffs)
+        s = spec.m + 2
+        assert log_order_bound(spec, s) is None
+        for n in (n for n in range(s + 1, 9) if p**n <= 2**8):
+            assert log_order_bound(spec, n) == len(drained_basis(spec, n).keys), (p, coeffs, n)
+    # p = 5 reaches level m + 3 only at degree 3,125, where the drained
+    # build takes about half a minute; it enumerated log_5 |G_5| = 751
+    assert log_order_bound(make_spec(5, (1, 1)), 5) == 751
+    for n in range(4, 9):
+        assert log_order_bound(dih, n) > len(drained_basis(dih, n).keys) == n + 1
+
+
+def test_stopped_build_matches_drained(ge, grig, fg, monkeypatch):
+    rng = random.Random(35)
+    cases = [(ge, 9), (grig, 9), (fg, 5), (make_spec(3, (1, 1)), 5)]
+    for spec, n in cases + [(make_spec(2, (1, 0, 0, 0)), 8)]:
+        p = spec.p
+        stopped, drained = group_chain(spec, n), drained_basis(spec, n)
+        assert np.array_equal(stopped.keys, drained.keys), (spec, n)
+        assert np.array_equal(stopped.labels, drained.labels), (spec, n)
+        seen = set()
+        for _ in range(10):
+            x = level_perm(random_word(spec, rng, rng.randrange(1, 40)), n).images
+            lv = _leaf_to_labels(x, p, n)[0]
+            lv[rng.randrange(len(lv))] += 1
+            flipped = _labels_to_leaf(lv % p, p, n)
+            for y in (x, flipped):
+                got = stopped.member(y)
+                assert got == drained.member(y), (spec, n)
+                seen.add(got)
+        assert seen == {True, False}, (spec, n)
+    # the stop fires: ge at level 9 acts far less often than a drained build
+    counts = []
+    act = _PackedVectors.act
+
+    def counted(self, action, x):
+        counts[-1] += 1
+        return act(self, action, x)
+
+    monkeypatch.setattr(_PackedVectors, "act", counted)
+    for build in (group_chain, drained_basis):
+        counts.append(0)
+        build(ge, 9)
+    assert counts[0] < counts[1] // 2, counts
