@@ -79,9 +79,7 @@ from .recsys import (
     RecSystem,
     build_conjugator,
     conjugation_disagreement_level,
-    rec_act_on_vertex,
     rec_level_perm,
-    rec_state_sets,
 )
 from .analysis import (
     ClassifyReport,

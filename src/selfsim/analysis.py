@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import GroupSpec, dihedral_witness, is_torsion
+from .core import GroupSpec, dihedral_witness, divisible_by_x_plus_1, is_torsion
 from .errors import (
     DegenerateCase,
     NotLevelOneStabilized,
@@ -357,8 +357,6 @@ class ClassifyReport:
 
 
 def classify(spec: GroupSpec) -> ClassifyReport:
-    from .core import divisible_by_x_plus_1
-
     degenerate = spec.is_degenerate
     wvec = dihedral_witness(spec) if spec.p == 2 else None
     witness = wvec.coords if wvec is not None else None

@@ -21,7 +21,20 @@ from typing import Optional, Sequence, Union
 
 from .core import GroupSpec, dihedral_witness
 from .errors import EvenQ, NoDihedralWitness, NotInOrbit, StructureError
-from .elements import Element, act_on_vertex
+from .elements import (
+    Element,
+    act_on_vertex,
+    b_letter,
+    basis_gens,
+    gen_a,
+    identity,
+    invert,
+    multiply,
+    power,
+    root_exponent,
+    section_at,
+    word_str,
+)
 
 Digits = tuple[int, ...]
 
@@ -130,8 +143,6 @@ def _default_gens(spec: GroupSpec) -> list[tuple[str, Element]]:
     orbital graph collapses onto the two-generator graph of a and b.
     Without a witness the full set {a} with all nonzero B-letters is used.
     """
-    from .elements import b_letter, gen_a, word_str
-
     wit = dihedral_witness(spec) if spec.p == 2 else None
     if wit is not None:
         return [("a", gen_a(spec)), ("b", b_letter(spec, wit))]
@@ -155,8 +166,6 @@ def schreier_ball(
     from vertices at distance < radius, so the ball is the BFS tree plus
     all back edges; loops are recorded for every vertex.
     """
-    from .elements import invert
-
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if gens is None:
@@ -229,8 +238,6 @@ def witness_pair(spec: GroupSpec) -> tuple[Element, Element]:
     sends it to 1^k 0 a u.  ab sends n to n + 1 as zeta(n) = (ab)^n 1^inf,
     and b zeta(n) = (ba)^n b 1^inf = zeta(-n) (Nekrashevych, Self-Similar
     Groups, 2005, on sections and the boundary action)."""
-    from .elements import b_letter, gen_a
-
     wit = dihedral_witness(spec) if spec.p == 2 else None
     if wit is None:
         raise NoDihedralWitness("spec has no letter with recursion b = (a, b)")
@@ -326,8 +333,6 @@ def hq_properness_certificate(spec: GroupSpec, q: int) -> PropernessReport:
     """
     check_odd_q(q)
     a, b = witness_pair(spec)
-    from .elements import basis_gens, identity, multiply, power, root_exponent, section_at, word_str
-
     shifted = z_action(power(multiply(a, b), q), 0)
     checks = [CertCheck("shift_by_q", shifted == q, f"(ab)^{q} sends n to n+{q} for all n, "
                         f"as ab sends n to n+1; z_action((ab)^{q}, 0) = {shifted}")]

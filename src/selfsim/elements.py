@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import xor
 from typing import Optional, Sequence, Union
 
-from .core import BVec, GroupSpec
+from .core import BVec, GroupSpec, dihedral_witness
 from .errors import (
     DegenerateCase,
     NotInDerivedSubgroup,
@@ -444,8 +444,6 @@ def theta_stabilize(z: Element, max_iter: int = 64) -> tuple[list[Element], Thet
         raise WrongCharacteristic("theta is defined for p = 2")
     if not abelianize(z).is_zero:
         raise NotInDerivedSubgroup("theta needs both abelianization components zero")
-    from .core import dihedral_witness
-
     wit = dihedral_witness(spec)
     wit_code = spec.code_of(wit.coords) if wit is not None else None
     trace: list[Element] = []

@@ -1,21 +1,21 @@
 """Finite level quotients as exact permutation groups.
 
 The image of the group on tree level n is a subgroup of Sym(p^n) (vertices
-in lexicographic = numeric order).  This module evaluates generators into
-level permutations with a vectorized transducer.  Every level image lies in
-the n-fold wreath power of Z/p, so its elements are read as label vectors:
-one cyclic child shift per tree vertex.  A single exact engine,
-`tree_pivot_basis`, reduces those vectors to a triangular basis keyed by
-vertices (an induced polycyclic sequence along the vertex series of the
-wreath power).  The resulting `PivotBasis` gives the order, membership by
-reduction, and kernels of prefix actions as basis tails: a level
-stabilizer is the tail from the first vertex of that depth.  Vertices
-are always indexed breadth-first.  Both the build and membership hold
-every label vector packed into one Python int (`_PackedVectors`): a
-basis row acts by masked rotations of sibling blocks and a fieldwise add
-mod p.  The build queues its commutator work per row and forms it from
-the packed rows when popped, so its memory is O(rows x V) for V
-label-carrying vertices.
+in lexicographic = numeric order).  One memoized unfold of sections,
+`_unfold`, evaluates words (and the recursion systems of `recsys`) into
+level permutations.  Every level image lies in the n-fold wreath power of
+Z/p, so its elements are read as label vectors: one cyclic child shift per
+tree vertex.  A single exact engine, `tree_pivot_basis`, reduces those
+vectors to a triangular basis keyed by vertices (an induced polycyclic
+sequence along the vertex series of the wreath power).  The resulting
+`PivotBasis` gives the order, membership by reduction, and kernels of
+prefix actions as basis tails: a level stabilizer is the tail from the
+first vertex of that depth.  Vertices are always indexed breadth-first.
+Both the build and membership hold every label vector packed into one
+Python int (`_PackedVectors`): a basis row acts by masked rotations of
+sibling blocks and a fieldwise add mod p.  The build queues its
+commutator work per row and forms it from the packed rows when popped, so
+its memory is O(rows x V) for V label-carrying vertices.
 
 Permutations are numpy int64 arrays `arr` with arr[i] = image of i; as
 functions they compose by fancy indexing: (f o g)[i] = f[g[i]].
@@ -38,6 +38,7 @@ from .errors import (
 )
 from .elements import (
     Element,
+    _wreath_letters,
     basis_gens,
     commutator,
     gen_a,
@@ -89,41 +90,48 @@ def check_level_cap(p: int, n: int) -> None:
         raise LevelTooLarge(f"p^n = {p**n} exceeds the cap {ENUMERATION_CAP}")
 
 
-def level_perm(x: Element, n: int) -> LevelPerm:
-    """Exact permutation induced on level n, computed by applying each
-    letter's transducer to the whole vertex array at once."""
-    spec = x.spec
-    p = spec.p
+def _unfold(p: int, n: int, start, children) -> LevelPerm:
+    """Exact permutation that the automorphism in state `start` induces on
+    level n.  children(state) lists, for each input child c in 0..p-1, the
+    output child and the state below it."""
     if n < 0:
         raise ValueError("level must be >= 0")
     check_level_cap(p, n)
-    N = p**n
-    V = np.arange(N, dtype=np.int64)
-    if n == 0:
-        return LevelPerm(0, V)
-    for l in reversed(x.letters):
-        if l < 0:
-            e = -l
-            top = V // (p ** (n - 1))
-            V = ((top + e) % p) * (p ** (n - 1)) + V % (p ** (n - 1))
-        else:
-            code = l
-            alive = np.ones(N, dtype=bool)
-            for k in range(n):
-                digit = (V // (p ** (n - 1 - k))) % p
-                if k + 1 < n:
-                    w = spec.omega_code[code]
-                    if w:
-                        exit0 = alive & (digit == 0)
-                        if exit0.any():
-                            step = p ** (n - 2 - k)
-                            d1 = (V[exit0] // step) % p
-                            V[exit0] += ((d1 + w) % p - d1) * step
-                alive &= digit == (p - 1)
-                if not alive.any():
-                    break
-                code = spec.rho_code[code]
-    return LevelPerm(n, V)
+    return LevelPerm(n, _unfold_block(p, children, {}, start, n))
+
+
+def _unfold_block(p: int, children, memo: dict, state, k: int) -> np.ndarray:
+    """Images of the p^k leaves below a vertex in `state`.  They depend on
+    (state, k) alone, so each pair is built once into `memo`.  This is a
+    plain function, not a closure: a recursive closure is a reference cycle
+    that keeps its memo alive until the cyclic collector runs."""
+    if k == 0:
+        return np.zeros(1, dtype=np.int64)
+    key = (state, k)
+    found = memo.get(key)
+    if found is not None:
+        return found
+    block = p ** (k - 1)
+    out = np.empty(p**k, dtype=np.int64)
+    for c, (out_char, child) in enumerate(children(state)):
+        below = _unfold_block(p, children, memo, child, k - 1)
+        out[c * block : (c + 1) * block] = out_char * block + below
+    memo[key] = out
+    return out
+
+
+def level_perm(x: Element, n: int) -> LevelPerm:
+    """Exact permutation induced on level n, unfolding the wreath form:
+    child c goes to c + root, and its block follows the normal-form section
+    word at c."""
+    spec = x.spec
+    p = spec.p
+
+    def children(letters):
+        root, secs = _wreath_letters(spec, letters)
+        return [((c + root) % p, secs[c]) for c in range(p)]
+
+    return _unfold(p, n, x.letters, children)
 
 
 @dataclass

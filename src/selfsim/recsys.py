@@ -3,10 +3,9 @@
 Some automorphisms that arise as conjugators live outside the group itself
 but still have finite descriptions: each symbol S expands as a root cycle
 power together with p sections, every section being a group element times
-another symbol.  Unfolding the equations computes vertex images to any
-depth; full-level evaluation with memoization on (residual word, symbol)
-states yields exact level permutations, which is enough to test claimed
-conjugation identities to a chosen depth.
+another symbol.  Unfolding the equations with `permq._unfold`, memoized on
+(residual word, symbol) states, yields exact level permutations, which is
+enough to test claimed conjugation identities to a chosen depth.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .elements import (
     section_at,
 )
 from .boundary import check_odd_q, witness_pair
-from .permq import LevelPerm, check_level_cap, invert_perm, level_perm
+from .permq import LevelPerm, _unfold, check_level_cap, invert_perm, level_perm
 
 
 @dataclass(frozen=True)
@@ -100,56 +99,9 @@ def _children(r: RecSystem, state: _State) -> list[tuple[int, _State]]:
     return out
 
 
-def rec_act_on_vertex(r: RecSystem, v: str) -> str:
-    """Image of a vertex word, unfolding the equations one level per char."""
-    p = r.spec.p
-    state: _State = ((), r.root_symbol)
-    out = []
-    for ch in v:
-        c = int(ch)
-        if not 0 <= c < p:
-            raise ValueError(f"vertex char {ch!r} out of range for p = {p}")
-        edges = _children(r, state)
-        out_char, state = edges[c]
-        out.append(str(out_char))
-    return "".join(out)
-
-
 def rec_level_perm(r: RecSystem, n: int) -> LevelPerm:
     """Exact permutation the system induces on level n (memoized unfold)."""
-    p = r.spec.p
-    memo: dict[tuple[_State, int], np.ndarray] = {}
-
-    def build(state: _State, k: int) -> np.ndarray:
-        if k == 0:
-            return np.zeros(1, dtype=np.int64)
-        key = (state, k)
-        found = memo.get(key)
-        if found is not None:
-            return found
-        block = p ** (k - 1)
-        out = np.empty(p**k, dtype=np.int64)
-        for c, (out_char, child) in enumerate(_children(r, state)):
-            out[c * block : (c + 1) * block] = out_char * block + build(child, k - 1)
-        memo[key] = out
-        return out
-
-    return LevelPerm(n, build(((), r.root_symbol), n))
-
-
-def rec_state_sets(r: RecSystem, n: int) -> list[set[_State]]:
-    """Distinct (residual word, symbol) states reachable at each level
-    0..n; the growth of these sets bounds the memoization cost."""
-    frontier: set[_State] = {((), r.root_symbol)}
-    out = [set(frontier)]
-    for _ in range(n):
-        nxt: set[_State] = set()
-        for state in frontier:
-            for _, child in _children(r, state):
-                nxt.add(child)
-        out.append(nxt)
-        frontier = nxt
-    return out
+    return _unfold(r.spec.p, n, ((), r.root_symbol), lambda state: _children(r, state))
 
 
 def conjugation_disagreement_level(

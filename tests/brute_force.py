@@ -6,10 +6,14 @@ per-level conjugation check that one build at the deepest level replaced,
 the level-n derived bases that the proved St_G(m+1) <= G' replaced, the
 derived terms formed from leaf permutations, with the block check
 that the checked read of a level image replaced, the companion-matrix
-code tables that the tables built straight from f replaced, and explicit
+code tables that the tables built straight from f replaced, the
+letter-by-letter level transducer that the memoized section unfold
+replaced, the vertex-by-vertex walk of a recursion system, and explicit
 generators of each index-p kernel."""
 
 from collections import deque
+from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -201,17 +205,112 @@ def reference_stab_in_derived_check(spec, n):
     return StabDerivedReport(spec.p, spec.m, n, tuple(entries))
 
 
+def reference_level_perm(x, n):
+    """Exact permutation induced on level n, computed by applying each
+    letter's transducer to the whole vertex array at once; the oracle for
+    `permq.level_perm`, which unfolds sections instead."""
+    from selfsim.permq import LevelPerm, check_level_cap
+
+    spec = x.spec
+    p = spec.p
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    check_level_cap(p, n)
+    N = p**n
+    V = np.arange(N, dtype=np.int64)
+    if n == 0:
+        return LevelPerm(0, V)
+    for l in reversed(x.letters):
+        if l < 0:
+            e = -l
+            top = V // (p ** (n - 1))
+            V = ((top + e) % p) * (p ** (n - 1)) + V % (p ** (n - 1))
+        else:
+            code = l
+            alive = np.ones(N, dtype=bool)
+            for k in range(n):
+                digit = (V // (p ** (n - 1 - k))) % p
+                if k + 1 < n:
+                    w = spec.omega_code[code]
+                    if w:
+                        exit0 = alive & (digit == 0)
+                        if exit0.any():
+                            step = p ** (n - 2 - k)
+                            d1 = (V[exit0] // step) % p
+                            V[exit0] += ((d1 + w) % p - d1) * step
+                alive &= digit == (p - 1)
+                if not alive.any():
+                    break
+                code = spec.rho_code[code]
+    return LevelPerm(n, V)
+
+
+@lru_cache(maxsize=None)
+def _rec_edges(r, state):
+    """`recsys._children`, cached: states repeat across the vertices of a
+    level, and the oracle walks each vertex from the root."""
+    from selfsim.recsys import _children
+
+    return _children(r, state)
+
+
+def rec_act_on_vertex(r, v):
+    """Image of a vertex word under a recursion system, unfolding the
+    equations one level per char from the root."""
+    p = r.spec.p
+    state = ((), r.root_symbol)
+    out = []
+    for ch in v:
+        c = int(ch)
+        if not 0 <= c < p:
+            raise ValueError(f"vertex char {ch!r} out of range for p = {p}")
+        edges = _rec_edges(r, state)
+        out_char, state = edges[c]
+        out.append(str(out_char))
+    return "".join(out)
+
+
+def rec_state_sets(r, n):
+    """Distinct (residual word, symbol) states reachable at each level
+    0..n; the growth of these sets bounds the memoization cost."""
+    from selfsim.recsys import _children
+
+    frontier = {((), r.root_symbol)}
+    out = [set(frontier)]
+    for _ in range(n):
+        nxt = set()
+        for state in frontier:
+            for _, child in _children(r, state):
+                nxt.add(child)
+        out.append(nxt)
+        frontier = nxt
+    return out
+
+
+@lru_cache(maxsize=None)
+def _rec_vertex_images(r, n):
+    """Level-n images of a recursion system, one `rec_act_on_vertex` call
+    per vertex in numeric order (p < 10, so a digit is one char)."""
+    p = r.spec.p
+    out = np.array(
+        [int(rec_act_on_vertex(r, "".join(v)), p) for v in product("0123456789"[:p], repeat=n)],
+        dtype=np.int64,
+    )
+    out.setflags(write=False)
+    return out
+
+
 def reference_disagreement_level(r, x, y, depth):
     """First level in 1..depth where r^-1 x r and y differ, or None, by
-    building all three level permutations at every level; the oracle for
+    building all three level permutations at every level, x and y by the
+    transducer and r vertex by vertex; the oracle for
     `recsys.conjugation_disagreement_level`."""
-    from selfsim.permq import invert_perm, level_perm
-    from selfsim.recsys import rec_level_perm
+    from selfsim.permq import invert_perm
 
     for n in range(1, depth + 1):
-        Pr = rec_level_perm(r, n).images
-        Px = level_perm(x, n).images
-        Py = level_perm(y, n).images
+        Pr = _rec_vertex_images(r, n)
+        Px = reference_level_perm(x, n).images
+        Py = reference_level_perm(y, n).images
         if not np.array_equal(invert_perm(Pr)[Px[Pr]], Py):
             return n
     return None

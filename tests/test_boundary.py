@@ -302,10 +302,8 @@ def test_certificate_fails_without_a_witness(ge, monkeypatch):
     failed = {c.name for c in rep.checks if not c.passed}
     assert {"witness_negates", "orbit_of_0_in_qZ"} <= failed
     # a generator that is not a B-letter fails its sign check
-    import selfsim.elements as elements
-
     monkeypatch.undo()
-    monkeypatch.setattr(elements, "basis_gens", lambda spec: [gen_b(spec, 0), gen_a(spec)])
+    monkeypatch.setattr(boundary, "basis_gens", lambda spec: [gen_b(spec, 0), gen_a(spec)])
     rep = hq_properness_certificate(ge, 3)
     assert rep.status == "FAIL"
     assert [c.name for c in rep.checks if not c.passed] == ["basis_a_sign", "orbit_of_0_in_qZ"]

@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: an AST scan of the library
-modules for imported names that nothing reads."""
+modules for imported names that nothing reads, and for module-level
+functions and classes that no library code uses."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,22 @@ def test_every_import_is_read(path):
         if name not in read
     )
     assert not unused, "imported but never read: " + ", ".join(unused)
+
+
+def test_every_definition_is_used_in_src():
+    # a name is used when some module loads it or reads it as an
+    # attribute; the exports in __init__ do not count, so a function that
+    # only tests call fails here (such oracles belong in brute_force.py)
+    used = set()
+    defined = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used |= _read_names(tree)
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        defined += [
+            (path.name, node.lineno, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        ]
+    unused = sorted(f"{name}:{line}: {fn}" for name, line, fn in defined if fn not in used)
+    assert not unused, "defined but never used in src: " + ", ".join(unused)

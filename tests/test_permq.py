@@ -13,10 +13,12 @@ from brute_force import (
     closure_order,
     reference_density_check,
     reference_derived_chain,
+    reference_level_perm,
     reference_pivot_basis,
     reference_stab_in_derived_check,
 )
 from selfsim import (
+    Element,
     LevelPerm,
     SubgroupDesc,
     act_on_vertex,
@@ -129,6 +131,30 @@ def test_level_perm_frozen(ge, grig, fg):
     assert level_perm(gen_b(fg, 0), 2).images.tolist() == [1, 2, 0, 3, 4, 5, 6, 7, 8]
     d4 = level_perm(gen_b(grig, 0), 4).images.tolist()
     assert d4 == [0, 1, 2, 3, 4, 5, 6, 7, 10, 11, 8, 9, 13, 12, 14, 15]
+
+
+def alternating_word(spec, rng, length):
+    """A reduced word of exactly `length` letters: root powers and nonzero
+    B-letters alternate, so nothing merges or cancels."""
+    p = spec.p
+    first = rng.randrange(2)
+    return Element(spec, tuple(
+        -rng.randrange(1, p) if (i + first) % 2 else rng.randrange(1, spec.pm)
+        for i in range(length)
+    ))
+
+
+def test_level_perm_matches_transducer(ge, grig, fg):
+    # the section unfold against the letter-by-letter transducer it
+    # replaced, from the empty word up to a word of 1,000 letters
+    rng = random.Random(33)
+    for spec in (ge, grig, fg, make_spec(5, (1, 1))):
+        words = [identity(spec)]
+        words += [alternating_word(spec, rng, rng.randrange(1, 31)) for _ in range(8)]
+        words.append(alternating_word(spec, rng, 1_000))
+        for x in words:
+            for n in range(7):
+                assert level_perm(x, n) == reference_level_perm(x, n), (spec, len(x.letters), n)
 
 
 def test_level_perm_equality():
@@ -367,12 +393,16 @@ def test_basis_rows_pinned(ge, grig, fg):
 def test_basis_memory_is_bounded(ge, grig):
     # rows live only as packed integers and commutator work waits in the
     # queue as one pending generator per row, so the traced peak grows
-    # with the rows (0.4 MB at V = 255, 1.2 MB at V = 511) rather than
+    # with the rows (0.2 MB at V = 255, 0.4-0.6 MB at V = 511) rather than
     # with V squared or with the number of commutators (2,134 for ge,
-    # 3,286 for grig at level 8)
-    for n, rows, bound in ((8, 162, 4_000_000), (9, 322, 2_000_000)):
+    # 3,286 for grig at level 8).  Tracing slows a build over tenfold, so
+    # one build per level is traced and the other only counts its rows.
+    for n, rows, bound, traced in ((8, 162, 4_000_000, grig), (9, 322, 2_000_000, ge)):
         for spec in (ge, grig):
             gens = [level_perm(g, n).images for g in generating_set(spec)]
+            if spec is not traced:
+                assert len(tree_pivot_basis(gens, 2, n).keys) == rows
+                continue
             tracemalloc.start()
             try:
                 basis = tree_pivot_basis(gens, 2, n)

@@ -1,9 +1,11 @@
+import gc
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from brute_force import reference_disagreement_level
+from brute_force import rec_act_on_vertex, rec_state_sets, reference_disagreement_level
 from selfsim import (
     RecEquation,
     RecSystem,
@@ -17,9 +19,7 @@ from selfsim import (
     multiply,
     parse_word,
     power,
-    rec_act_on_vertex,
     rec_level_perm,
-    rec_state_sets,
 )
 from selfsim import recsys
 from selfsim.errors import EvenQ, LevelTooLarge, NoDihedralWitness, SpecMismatch
@@ -77,6 +77,36 @@ def test_conjugation_depth_over_cap_refused_up_front(ge, monkeypatch):
     monkeypatch.setattr(recsys, "rec_level_perm", no_level)
     with pytest.raises(LevelTooLarge):
         conjugation_disagreement_level(r, gen_a(ge), gen_a(ge), depth=21)
+
+
+def test_rec_level_perm_input_checks(ge):
+    # refused up front, as level_perm refuses them: no array is built
+    r = build_conjugator(ge, 3)
+    for f, x in ((rec_level_perm, r), (level_perm, gen_a(ge))):
+        with pytest.raises(ValueError):
+            f(x, -1)
+        with pytest.raises(LevelTooLarge):
+            f(x, 21)
+
+
+def test_level_builds_free_their_memo(ge):
+    # with the cyclic collector off, a memo kept alive by a reference
+    # cycle would still hold all of its (state, depth) blocks on return
+    r = build_conjugator(ge, 5)
+    a, b = gen_a(ge), b_letter(ge, (1, 1))
+    word = multiply(power(multiply(a, b), 5), b)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for build, x in ((rec_level_perm, r), (level_perm, word)):
+            before = tracemalloc.get_traced_memory()[0]
+            images = build(x, 14).images
+            held = tracemalloc.get_traced_memory()[0] - before
+            assert held < 2 * images.nbytes, (build.__name__, held)
+            del images
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
 def test_state_sets_stay_small(ge):
