@@ -5,7 +5,8 @@ rooted cycle `a` and nonzero vectors of B.  The normal form is free
 reduction only (adjacent a-powers add mod p, adjacent B-letters add in B,
 zeros are dropped); deciding whether a word is trivial as a tree
 automorphism is the job of `is_trivial`, which recurses through the wreath
-decomposition and terminates because sections shrink.
+decomposition and terminates because sections shrink.  At p = 2 it splits
+unreduced run forms instead of reduced sections.
 
 Letters are stored compactly as integers:
     negative letter -e        a^e with 1 <= e <= p-1
@@ -320,12 +321,88 @@ def is_trivial(x: Element) -> bool:
 
     A tree automorphism is trivial iff its root exponent is 0 and every
     section is trivial, so the decision recurses through the wreath
-    decomposition.  The sections of one level total at most L + 1 letters
-    for a word of L letters, and a section of a word with L >= 3 letters
-    has at most ceil((L+1)/2) letters, so the depth is O(log L) and the
-    work O(L log L).  Nothing is cached: contraction alone bounds it.
+    decomposition.  Nothing is cached: contraction alone bounds it.
+
+    At odd p the sections are freely reduced words.  Those of one level
+    total at most L + 1 letters for a word of L letters, and a section of
+    a word with L >= 3 letters has at most ceil((L+1)/2) letters, so the
+    depth is O(log L) and the work O(L log L).
+
+    At p = 2 the decision reads the run form v_0, ..., v_k of the word
+    v_0 a v_1 a ... a v_k (B-values, 0 allowed) and reduces nothing; see
+    `_trivial_runs`.  A node with k even and k >= 2 gives child 0 at most
+    one `a` per even slot, so at most k/2 + 1, and child 1 at most k/2.
+    At k = 2 a child with two a's is a rho(v_1) a, whose end runs are 0,
+    so each of its own children has at most one `a`.  The depth is at
+    most log2 k + 2; a node adds at most two runs to the level below it,
+    so each level holds O(k) runs and the work is O(L log L).
     """
-    return _trivial_rec(x.spec, x.letters)
+    spec = x.spec
+    if spec.p == 2:
+        return _trivial_runs(spec.omega_code, spec.rho_code, _run_form(x.letters))
+    return _trivial_rec(spec, x.letters)
+
+
+def _run_form(letters: Letters) -> list[int]:
+    """The B-values v_0, ..., v_k of a p = 2 word v_0 a v_1 a ... a v_k.
+
+    A reduced word alternates, so its B-letters are one slice of it, with
+    a 0 run at each end that is an `a`.  Any other word (adjacent
+    B-letters, `a a`, B-letters that sum to 0) takes one loop that adds
+    B-letters into the current run and opens a new run at each `a`."""
+    if letters:
+        evens, odds = letters[0::2], letters[1::2]
+        a_s, b_s = (evens, odds) if letters[0] < 0 else (odds, evens)
+        if a_s.count(-1) == len(a_s) and min(b_s, default=1) > 0:
+            return [0] * (letters[0] < 0) + list(b_s) + [0] * (letters[-1] < 0)
+    runs, cur = [], 0
+    for l in letters:
+        if l < 0:
+            runs.append(cur)
+            cur = 0
+        else:
+            cur ^= l
+    runs.append(cur)
+    return runs
+
+
+def _trivial_runs(omega: Sequence[int], rho: Sequence[int], runs: list[int]) -> bool:
+    """`is_trivial` on a p = 2 run form, with the tables `omega_code` and
+    `rho_code`.
+
+    With k = len(runs) - 1 a's, k = 0 leaves the B-value v_0, trivial iff
+    it is 0 (the faithfulness lemma in `GroupSpec`), and an odd k is a
+    root exponent of 1.  Otherwise slot t has suffix exponent t mod 2, and
+    one left-to-right pass builds both children as in `_wreath_letters`
+    (a^omega to child -root, rho to child 1 - root): an even slot x sends
+    a^omega(x) to child 0 and rho(x) to child 1, an odd slot y sends
+    rho(y) to child 0 and a^omega(y) to child 1.  Each `a` opens a run and
+    each rho-value is added into the current one.  A run that sums to 0
+    stays a 0 and adds nothing one level down, so no cancellation cascades.
+    """
+    k = len(runs) - 1
+    if not k:
+        return not runs[0]
+    if k & 1:
+        return False
+    r0, r1 = [], []
+    x0 = x1 = 0
+    for x, y in zip(runs[0::2], runs[1::2]):
+        if omega[x]:
+            r0.append(x0)
+            x0 = 0
+        x1 ^= rho[x]
+        x0 ^= rho[y]
+        if omega[y]:
+            r1.append(x1)
+            x1 = 0
+    x = runs[-1]
+    if omega[x]:
+        r0.append(x0)
+        x0 = 0
+    r0.append(x0)
+    r1.append(x1 ^ rho[x])
+    return _trivial_runs(omega, rho, r0) and _trivial_runs(omega, rho, r1)
 
 
 def _trivial_rec(spec: GroupSpec, letters: Letters) -> bool:

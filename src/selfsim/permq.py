@@ -749,7 +749,9 @@ def stab_in_derived_check(spec: GroupSpec, n: int) -> StabDerivedReport:
     of index p^(m+1), and it contains St_{G_n}(m+1), the kernel of
     G_n -> G_{m+1}.  The same holds in G, whose abelianization is also
     generated by a and B of order p and maps onto G_{m+1}/G_{m+1}': so
-    St_G(m+1) <= G'.  The first entry reads both orders off G_n's basis.
+    St_G(m+1) <= G'.  The first entry reads both orders off G_n's basis,
+    which stops at `log_order_bound` as in `group_chain`; at odd p,
+    `derived_chain` reuses its level-n generator images.
 
     The second inclusion is checked at level n, an exact necessary
     condition for the group-level one (level images of stabilizers
@@ -762,7 +764,7 @@ def stab_in_derived_check(spec: GroupSpec, n: int) -> StabDerivedReport:
     if n <= ell:
         raise ValueError(f"need n > {ell} for this spec")
     gen_arrays = [level_perm(g, n).images for g in generating_set(spec)]
-    chain = tree_pivot_basis(gen_arrays, p, n)
+    chain = tree_pivot_basis(gen_arrays, p, n, max_rows=log_order_bound(spec, n))
     entries = [
         StabDerivedEntry(
             m + 1, 1, chain.stabilizer(m + 1).order, chain.order // p ** (m + 1), True

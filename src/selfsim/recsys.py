@@ -17,13 +17,7 @@ import numpy as np
 
 from .core import GroupSpec
 from .errors import SpecMismatch
-from .elements import (
-    Element,
-    identity,
-    multiply,
-    power,
-    section_at,
-)
+from .elements import Element, _concat, _wreath_letters, identity, multiply, power
 from .boundary import check_odd_q, witness_pair
 from .permq import LevelPerm, _unfold, check_level_cap, invert_perm, level_perm
 
@@ -83,19 +77,18 @@ _State = tuple[tuple[int, ...], str]
 
 
 def _children(r: RecSystem, state: _State) -> list[tuple[int, _State]]:
-    """Out-edge chars and successor states for each input char 0..p-1."""
+    """Out-edge chars and successor states for each input char 0..p-1,
+    read off one wreath pass over the residual word."""
     spec = r.spec
     p = spec.p
     letters, symbol = state
-    u = Element(spec, letters)
+    u_root, secs = _wreath_letters(spec, letters)
     eq = r.equations[symbol]
-    u_root = sum(-l for l in u.letters if l < 0) % p
     out = []
     for c in range(p):
         mid = (c + eq.root_exp) % p
-        out_char = (mid + u_root) % p
-        child_u = multiply(section_at(u, (mid,)), eq.section_words[c])
-        out.append((out_char, (child_u.letters, eq.section_symbols[c])))
+        child_u = _concat(spec, secs[mid], eq.section_words[c].letters)
+        out.append(((mid + u_root) % p, (child_u, eq.section_symbols[c])))
     return out
 
 

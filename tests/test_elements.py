@@ -37,7 +37,7 @@ from selfsim import (
     word_str,
     wreath,
 )
-from selfsim.elements import _wreath_letters
+from selfsim.elements import _trivial_rec, _wreath_letters
 from selfsim.errors import (
     NotInDerivedSubgroup,
     SpecMismatch,
@@ -292,6 +292,86 @@ def test_is_trivial_matches_level_action(ge, grig, fg):
             assert not is_trivial(x)
             assert not all(level_perm(x, n).is_identity for n in range(1, top + 1))
         assert unbalanced >= 10
+
+
+def _raw_p2_word(spec, rng, pieces):
+    """Unreduced letters at p = 2: a's, B-letters, and pieces that cancel
+    (a a, x x, or B-letters x y (x + y) that sum to 0)."""
+    raw = []
+    for _ in range(pieces):
+        x, y = rng.randrange(1, spec.pm), rng.randrange(1, spec.pm)
+        raw += rng.choice(([-1], [x], [-1, -1], [x, x], [x, y, x ^ y]))
+    return tuple(raw)
+
+
+def test_run_form_matches_contraction(ge, grig, dih):
+    # the p = 2 run-form decision against the reduced-section recursion,
+    # which stays the odd-p path: single letters, reduced and unreduced
+    # words, powers x^(2^j), commutators, and conjugates of the relators
+    # (ad)^4 and (adacac)^4, alone and times a random word
+    rng = random.Random(24)
+    specs = (ge, grig, dih, make_spec(2, [1, 0, 0]), make_spec(2, [1, 1, 0]),
+             make_spec(2, [1, 0, 0, 0]))
+    for spec in specs:
+        words = [(), (-1,)] + [(c,) for c in range(1, spec.pm)]
+        for _ in range(30):
+            x = random_word(spec, rng, rng.randrange(1, 24))
+            y = random_word(spec, rng, rng.randrange(1, 8))
+            words += [
+                x.letters,
+                power(x, 2 ** rng.randrange(1, 5)).letters,
+                commutator(x, y).letters,
+                _raw_p2_word(spec, rng, rng.randrange(1, 30)),
+                x.letters + invert(x).letters,
+            ]
+        relators = []
+        if spec.m >= 2:
+            a = gen_a(spec)
+            c, d = (b_letter(spec, v) for v in find_cd(spec))
+            ad, ac = multiply(a, d), multiply(a, c)
+            for r in (power(ad, 4), power(multiply(ad, multiply(ac, ac)), 4)):
+                for _ in range(10):
+                    g = random_word(spec, rng, rng.randrange(1, 12))
+                    relators.append(conjugate(r, g).letters)
+                    words.append(multiply(conjugate(r, g), g).letters)
+        answers = set()
+        for w in words + relators:
+            want = _trivial_rec(spec, w)
+            assert is_trivial(Element(spec, w)) == want, (spec, w)
+            answers.add(want)
+        assert answers == {True, False}
+        assert all(_trivial_rec(spec, w) for w in relators)
+
+
+def test_run_form_decides_long_words(ge):
+    # a trivial word of over 10^6 letters: the run form splits it to a
+    # depth of about log2 of its a-count, so no RecursionError
+    rng = random.Random(25)
+    a = gen_a(ge)
+    c, d = (b_letter(ge, v) for v in find_cd(ge))
+    r = power(multiply(multiply(a, d), power(multiply(a, c), 2)), 4)
+    x = conjugate(power(r, 2**16), random_word(ge, rng, 9))
+    assert len(x.letters) >= 10**6
+    assert is_trivial(x)
+    assert not is_trivial(multiply(x, gen_b(ge, 0)))
+
+
+def test_p2_decision_makes_no_wreath_pass(ge, fg, monkeypatch):
+    import selfsim.elements
+
+    wreath_letters = selfsim.elements._wreath_letters
+    passes = []
+
+    def spy(spec, letters):
+        passes.append(spec.p)
+        return wreath_letters(spec, letters)
+
+    monkeypatch.setattr(selfsim.elements, "_wreath_letters", spy)
+    assert is_trivial(power(parse_word(ge, "ab0"), 4))
+    assert not is_trivial(parse_word(ge, "ab0ab1"))
+    assert passes == []
+    assert not is_trivial(parse_word(fg, "ab0a^2"))
+    assert passes and set(passes) == {3}
 
 
 def test_wreath_letters_match_reference(ge, grig, fg, dih):

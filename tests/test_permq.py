@@ -691,14 +691,15 @@ def test_stab_in_derived_matches_reference(ge, grig, fg):
 
 
 def test_stab_in_derived_builds_derived_terms_once(ge, grig, fg, monkeypatch):
-    # p = 2: the first inclusion is proved, so only the basis of G_n is built;
-    # odd p: one derived_chain call builds G_n'' (and G_n' on the way); each
+    # p = 2: the first inclusion is proved, so only the basis of G_n is built,
+    # after the level-(m+2) basis that `log_order_bound` reads; odd p: one
+    # derived_chain call builds G_n'' (and G_n' on the way); each
     # generator's level-n permutation is evaluated once for both
     calls = []
 
     def spy(name, fn):
         def wrapped(*args, **kwargs):
-            calls.append(name)
+            calls.append(f"level_perm {args[1]}" if name == "level_perm" else name)
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(permq, name, wrapped)
@@ -709,13 +710,14 @@ def test_stab_in_derived_builds_derived_terms_once(ge, grig, fg, monkeypatch):
     for spec in (ge, grig):
         calls.clear()
         stab_in_derived_check(spec, 8)
-        assert calls == ["level_perm"] * 3 + ["tree_pivot_basis"]
+        assert calls == ["level_perm 8"] * 3 + ["level_perm 4"] * 3 + ["tree_pivot_basis"] * 2
     calls.clear()
     stab_in_derived_check(fg, 5)
     assert calls.count("derived_chain") == 1
-    # a and b, G_5, then G_5' and G_5'' inside the one derived_chain call
-    assert calls == ["level_perm"] * 2 + [
-        "tree_pivot_basis", "derived_chain", "tree_pivot_basis", "tree_pivot_basis"
+    # a and b, the bound's G_3, G_5, then G_5' and G_5'' inside the one
+    # derived_chain call
+    assert calls == ["level_perm 5"] * 2 + ["level_perm 3"] * 2 + [
+        "tree_pivot_basis", "tree_pivot_basis", "derived_chain", "tree_pivot_basis", "tree_pivot_basis"
     ]
 
 
