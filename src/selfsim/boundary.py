@@ -17,10 +17,10 @@ together with B.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .core import GroupSpec, dihedral_witness
-from .errors import EvenQ, NoDihedralWitness, NotInOrbit, StructureError
+from .errors import EvenQ, NoDihedralWitness, NotInOrbit
 from .elements import (
     Element,
     act_on_vertex,
@@ -97,8 +97,6 @@ def ray_str(r: Ray) -> str:
 
 
 def all_ones(spec: GroupSpec) -> Ray:
-    if spec.p < 2:
-        raise StructureError("invalid spec")
     return make_ray((), (1,))
 
 
@@ -153,12 +151,7 @@ def _default_gens(spec: GroupSpec) -> list[tuple[str, Element]]:
     return gens
 
 
-def schreier_ball(
-    spec: GroupSpec,
-    center: Ray,
-    radius: int,
-    gens: Optional[list[tuple[str, Element]]] = None,
-) -> SchreierBall:
+def schreier_ball(spec: GroupSpec, center: Ray, radius: int) -> SchreierBall:
     """BFS ball of the orbit graph around `center`.
 
     Vertices appear in BFS order; edges are undirected and recorded once
@@ -168,8 +161,7 @@ def schreier_ball(
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if gens is None:
-        gens = _default_gens(spec)
+    gens = _default_gens(spec)
     center = make_ray(center.pre, center.per)
     vertices: list[Ray] = [center]
     index: dict[Ray, int] = {center: 0}

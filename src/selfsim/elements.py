@@ -546,7 +546,12 @@ def find_cd(spec: GroupSpec) -> tuple[BVec, BVec]:
     """Deterministic pair (c, d) with omega(c) = 1, rho(c) = d, and d in
     ker(omega) but not in rho(ker omega); then c has wreath form (a, d).
 
-    Ties break lexicographically on coordinate tuples.
+    d is the lexicographically least coordinate tuple in
+    ker(omega) \\ rho(ker omega), and c = rho^-1(d).  Both always exist:
+    on ker(omega) = {w : w_(m-1) = 0}, rho shifts the coordinates up one
+    place, so rho(ker omega) = {w : w_0 = 0}, and for m >= 2 the vector e_0
+    lies in ker(omega) outside it.  Every such d has d_0 != 0, and
+    rho(c)_0 = -c_(m-1) a_0, so c_(m-1) != 0: omega(c) = 1 at p = 2.
     """
     if spec.p != 2:
         raise WrongCharacteristic("find_cd is a p = 2 construction")
@@ -554,23 +559,9 @@ def find_cd(spec: GroupSpec) -> tuple[BVec, BVec]:
         raise StructureError("find_cd needs m >= 2 (ker omega must be nonzero)")
     b0 = {c for c in range(spec.pm) if spec.omega_code[c] == 0}
     b1 = {spec.rho_code[c] for c in b0}
-    diff = sorted(spec.coords_of(c) for c in (b0 - b1) if c != 0)
-    if not diff:
-        raise StructureError("no vector in ker(omega) outside its rho-image")
-    d_coords = diff[0]
+    d_coords = min(spec.coords_of(c) for c in b0 - b1)
     d_code = spec.code_of(d_coords)
     c_code = spec.rho_inv_code[d_code]
-    if spec.omega_code[c_code] != 1:
-        for coords in sorted(spec.coords_of(c) for c in range(1, spec.pm)):
-            cc = spec.code_of(coords)
-            img = spec.rho_code[cc]
-            if spec.omega_code[cc] == 1 and img in b0 and img not in b1 and img != 0:
-                c_code = cc
-                d_code = img
-                d_coords = spec.coords_of(img)
-                break
-        else:
-            raise StructureError("no letter c with omega(c) = 1 maps into the gap")
     # Verify the wreath form (a, d) exactly.
     _, secs = _wreath_letters(spec, (c_code,))
     if secs[0] != (-1,) or secs[1] != (d_code,):

@@ -1,21 +1,24 @@
 """Finite level quotients as exact permutation groups.
 
 The image of the group on tree level n is a subgroup of Sym(p^n) (vertices
-in lexicographic = numeric order).  One memoized unfold of sections,
-`_unfold`, evaluates words (and the recursion systems of `recsys`) into
-level permutations.  Every level image lies in the n-fold wreath power of
-Z/p, so its elements are read as label vectors: one cyclic child shift per
-tree vertex.  A single exact engine, `tree_pivot_basis`, reduces those
-vectors to a triangular basis keyed by vertices (an induced polycyclic
-sequence along the vertex series of the wreath power).  The resulting
-`PivotBasis` gives the order, membership by reduction, and kernels of
-prefix actions as basis tails: a level stabilizer is the tail from the
-first vertex of that depth.  Vertices are always indexed breadth-first.
-Both the build and membership hold every label vector packed into one
-Python int (`_PackedVectors`): a basis row acts by masked rotations of
-sibling blocks and a fieldwise add mod p.  The build queues its
-commutator work per row and forms it from the packed rows when popped, so
-its memory is O(rows x V) for V label-carrying vertices.
+in lexicographic = numeric order).  One unfold of sections, `_unfold`,
+evaluates words (and the recursion systems of `recsys`) into level
+permutations depth by depth: the distinct states of each depth top down,
+then their leaf blocks bottom up, two depths at a time.  Every level image
+lies in the n-fold wreath power of Z/p, so its elements are read as label
+vectors: one cyclic child shift per tree vertex.  A single exact engine,
+`tree_pivot_basis`, reduces those vectors to a triangular basis keyed by
+vertices (an induced polycyclic sequence along the vertex series of the
+wreath power).  The resulting `PivotBasis` gives the order, membership by
+reduction, and kernels of prefix actions as basis tails: a level
+stabilizer is the tail from the first vertex of that depth.  Vertices are
+always indexed breadth-first.  Both the build and membership hold every
+label vector packed into one Python int (`_PackedVectors`): a basis row
+acts by masked rotations of sibling blocks and a fieldwise add mod p.
+`_PackedVectors.element` is the one place that reads an element's action,
+its inverse's action and its support off its labels.  The build queues
+its commutator work per row and forms it from the packed rows when
+popped, so its memory is O(rows x V) for V label-carrying vertices.
 
 Permutations are numpy int64 arrays `arr` with arr[i] = image of i; as
 functions they compose by fancy indexing: (f o g)[i] = f[g[i]].
@@ -93,31 +96,35 @@ def check_level_cap(p: int, n: int) -> None:
 def _unfold(p: int, n: int, start, children) -> LevelPerm:
     """Exact permutation that the automorphism in state `start` induces on
     level n.  children(state) lists, for each input child c in 0..p-1, the
-    output child and the state below it."""
+    output child and the state below it.
+
+    The images of the leaves below a vertex depend only on its state and
+    depth, so the unfold goes depth by depth.  Top down it lists the
+    distinct states of each depth, calling `children` once per state, and
+    keeps only each depth's edges: output children and the indices of the
+    states below.  Bottom up it fills the leaf blocks of each depth from
+    those of the next, so at most two depths of blocks are alive at once."""
     if n < 0:
         raise ValueError("level must be >= 0")
     check_level_cap(p, n)
-    return LevelPerm(n, _unfold_block(p, children, {}, start, n))
-
-
-def _unfold_block(p: int, children, memo: dict, state, k: int) -> np.ndarray:
-    """Images of the p^k leaves below a vertex in `state`.  They depend on
-    (state, k) alone, so each pair is built once into `memo`.  This is a
-    plain function, not a closure: a recursive closure is a reference cycle
-    that keeps its memo alive until the cyclic collector runs."""
-    if k == 0:
-        return np.zeros(1, dtype=np.int64)
-    key = (state, k)
-    found = memo.get(key)
-    if found is not None:
-        return found
-    block = p ** (k - 1)
-    out = np.empty(p**k, dtype=np.int64)
-    for c, (out_char, child) in enumerate(children(state)):
-        below = _unfold_block(p, children, memo, child, k - 1)
-        out[c * block : (c + 1) * block] = out_char * block + below
-    memo[key] = out
-    return out
+    states, edges = [start], []
+    for _ in range(n):
+        below: dict = {}
+        outs, idxs = [], []
+        for state in states:
+            for out_char, child in children(state):
+                outs.append(out_char)
+                idxs.append(below.setdefault(child, len(below)))
+        edges.append((np.array(outs, dtype=np.int64), np.array(idxs, dtype=np.int64)))
+        states = list(below)
+    blocks = np.zeros((len(states), 1), dtype=np.int64)
+    while edges:
+        outs, idxs = edges.pop()
+        width = blocks.shape[1]
+        up = blocks[idxs]
+        up += outs[:, None] * width
+        blocks = up.reshape(-1, p * width)
+    return LevelPerm(n, blocks[0])
 
 
 def level_perm(x: Element, n: int) -> LevelPerm:
@@ -200,11 +207,6 @@ def _labels_to_leaf(lv: np.ndarray, p: int, n: int) -> np.ndarray:
         shift = lv[_depth_start(p, d) + leaves // (step * p)]
         out += ((leaves // step + shift) % p) * step
     return out
-
-
-def _invert_labels(lv, vp, p: int):
-    vpi = invert_perm(vp)
-    return (-lv[vpi]) % p, vpi
 
 
 def _verts_from_labels(lv: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -328,6 +330,18 @@ class _PackedVectors:
             ]
             rots.append((self.full ^ fields[0], moves))
         return rots, self.pack(pl)
+
+    def element(self, lv: np.ndarray, key: int):
+        """What `act` needs of the wreath-power element with labels lv,
+        keyed at position `key` (see `row_action`), and of its inverse, and
+        its support: the positions it relabels or moves, as a bit mask.
+        The inverse takes the negated label of each vertex to that vertex's
+        image."""
+        p = self.p
+        vp = _verts_from_labels(lv, p, self.n)
+        vpi = invert_perm(vp)
+        support = self.pack(((lv != 0) | (vp != np.arange(self.V))).astype(np.int16))
+        return self.row_action(lv, key), self.row_action((-lv[vpi]) % p, key), support
 
     def act(self, action, x: int) -> int:
         """The packed product "first the row power, then x"."""
@@ -473,15 +487,14 @@ def tree_pivot_basis(
     that drains its queue.  If the bound is never met, the queue drains
     as without it."""
     V = _depth_start(p, n)
-    iden_v = np.arange(V, dtype=np.int64)
     packed = _PackedVectors(p, n)
     F, fmask, pack, act = packed.F, packed.fmask, packed.pack, packed.act
     # each conjugator as the actions of itself and of its inverse
     conjs, conj_invs = [], []
     for c_leaf in conj_arrays or ():
-        cl, cv = _leaf_to_labels(c_leaf, p, n)
-        conjs.append(packed.row_action(cl, 0))
-        conj_invs.append(packed.row_action(_invert_labels(cl, cv, p)[0], 0))
+        ca, ca_inv, _ = packed.element(_leaf_to_labels(c_leaf, p, n)[0], 0)
+        conjs.append(ca)
+        conj_invs.append(ca_inv)
 
     # the row index of each pivot position, None where there is none yet;
     # per row the actions of its powers 1 .. p-1 and of its inverse, and
@@ -545,19 +558,16 @@ def tree_pivot_basis(
             xa = packed.row_action(packed.unpack(x), idx)
             for _ in range(t - 1):
                 h = act(xa, h)
-        hl = packed.unpack(h)
-        hv = _verts_from_labels(hl, p, n)
         k = len(row_acts)
         key2row[idx] = k
-        ha = packed.row_action(hl, idx)
+        ha, inv, support = packed.element(packed.unpack(h), idx)
         acts, power = [None, ha], h
         for _ in range(p - 2):
             power = act(ha, power)
             acts.append(packed.row_action(packed.unpack(power), idx))
         row_acts.append(acts)
-        inv = packed.row_action(_invert_labels(hl, hv, p)[0], idx)
         row_invs.append(inv)
-        row_supports.append(pack(((hl != 0) | (hv != iden_v)).astype(np.int16)))
+        row_supports.append(support)
         power = act(ha, power)
         if power:
             work.append(power)
@@ -683,28 +693,24 @@ def derived_chain(gen_arrays: Sequence[np.ndarray], p: int, n: int, k: int = 1) 
     conjugating set small across rounds.  One round's rows generate the
     next.  For i < j the commutator "first g_j, then g_i, then g_j^-1,
     then g_i^-1" is packed by three `act` calls from the actions of g_i,
-    g_j and their inverses, read off their labels (a row's order can
+    g_j and their inverses, read off their labels by
+    `_PackedVectors.element` (a row's order can
     exceed p, so its inverse is not its (p-1)-th power).  Pairs with
     disjoint support commute and are skipped, as are trivial commutators.
     """
     if k < 1:
         raise ValueError("derivation depth must be >= 1")
     packed = _PackedVectors(p, n)
-    act, iden_v = packed.act, np.arange(packed.V, dtype=np.int64)
+    act = packed.act
     # the current generators: labels, and the key before which they vanish
     cur = [(_leaf_to_labels(g, p, n)[0], 0) for g in gen_arrays]
     for _ in range(k):
-        acts, invs, sups = [], [], []
-        for lv, key in cur:
-            vp = _verts_from_labels(lv, p, n)
-            acts.append(packed.row_action(lv, key))
-            invs.append(packed.row_action(_invert_labels(lv, vp, p)[0], key))
-            sups.append(packed.pack(((lv != 0) | (vp != iden_v)).astype(np.int16)))
+        elems = [packed.element(lv, key) for lv, key in cur]
         comms = [
-            act(acts[j], act(acts[i], act(invs[j], invs[i][1])))
-            for i in range(len(cur))
-            for j in range(i + 1, len(cur))
-            if sups[i] & sups[j]
+            act(gj, act(gi, act(gj_inv, gi_inv[1])))
+            for i, (gi, gi_inv, sup) in enumerate(elems)
+            for gj, gj_inv, sup_j in elems[i + 1 :]
+            if sup & sup_j
         ]
         out = tree_pivot_basis([c for c in comms if c], p, n, conj_arrays=gen_arrays)
         cur = list(zip(out.labels, out.keys.tolist()))

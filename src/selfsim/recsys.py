@@ -3,9 +3,10 @@
 Some automorphisms that arise as conjugators live outside the group itself
 but still have finite descriptions: each symbol S expands as a root cycle
 power together with p sections, every section being a group element times
-another symbol.  Unfolding the equations with `permq._unfold`, memoized on
-(residual word, symbol) states, yields exact level permutations, which is
-enough to test claimed conjugation identities to a chosen depth.
+another symbol.  Unfolding the equations with `permq._unfold`, depth by
+depth over the distinct (residual word, symbol) states of each depth,
+yields exact level permutations, which is enough to test claimed
+conjugation identities to a chosen depth.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ def _children(r: RecSystem, state: _State) -> list[tuple[int, _State]]:
 
 
 def rec_level_perm(r: RecSystem, n: int) -> LevelPerm:
-    """Exact permutation the system induces on level n (memoized unfold)."""
+    """Exact permutation the system induces on level n (the depth-wise
+    unfold of `permq._unfold`)."""
     return _unfold(r.spec.p, n, ((), r.root_symbol), lambda state: _children(r, state))
 
 

@@ -452,13 +452,21 @@ def _compose(l1, v1, l2, v2, p: int):
     return (l1[v2] + l2) % p, v1[v2]
 
 
+def _invert_labels(lv, vp, p: int):
+    """Labels and vertex map of the inverse of the wreath-power element
+    with labels lv and vertex map vp."""
+    vpi = np.empty_like(vp)
+    vpi[vp] = np.arange(len(vp), dtype=vp.dtype)
+    return (-lv[vpi]) % p, vpi
+
+
 def reference_pivot_basis(gen_arrays, p, n, conj_arrays=None):
     """`tree_pivot_basis` as a numpy reduction loop over unpacked label
     vectors: each step composes with a basis power by two fancy indexes
     and finds the next pivot by argmax.  The oracle for the packed-integer
     reduction, which must return the same keys and labels, and whose
     composed vertex maps the engine's labels must determine."""
-    from selfsim.permq import _depth_start, _invert_labels, _leaf_to_labels
+    from selfsim.permq import _depth_start, _leaf_to_labels
 
     gens = [np.asarray(a, dtype=np.int64) for a in gen_arrays]
     conj_leaf = [np.asarray(c, dtype=np.int64) for c in (conj_arrays or ())]

@@ -38,6 +38,7 @@ from selfsim import (
     make_spec,
     multiply,
     parse_word,
+    power,
     stab_in_derived_check,
 )
 from selfsim import permq
@@ -155,6 +156,20 @@ def test_level_perm_matches_transducer(ge, grig, fg):
         for x in words:
             for n in range(7):
                 assert level_perm(x, n) == reference_level_perm(x, n), (spec, len(x.letters), n)
+
+
+def test_level_perm_peak_memory(ge):
+    # the unfold keeps at most two depths of leaf blocks alive, so the
+    # traced peak stays near twice the result
+    a, b = gen_a(ge), b_letter(ge, (1, 1))
+    word = multiply(power(multiply(a, b), 50), b)
+    tracemalloc.start()
+    try:
+        images = level_perm(word, 16).images
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * images.nbytes, (peak, images.nbytes)
 
 
 def test_level_perm_equality():

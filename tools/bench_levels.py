@@ -27,17 +27,14 @@ next to the runs already there; every run must report the same rows.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import resource
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+
+import benchio
 
 REPEAT = 3
 CASES = [(name, n) for name in ("ge", "grig") for n in (8, 9, 10)] + [("fg", n) for n in (4, 5, 6)]
@@ -69,16 +66,6 @@ def counted_acts(permq, fn) -> int:
     finally:
         permq._PackedVectors.act = act
     return calls
-
-
-def git_rev(path: Path) -> str:
-    try:
-        return subprocess.run(
-            ["git", "-C", str(path), "describe", "--always", "--dirty", "--abbrev=40"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def main(argv=None) -> int:
@@ -123,27 +110,18 @@ def main(argv=None) -> int:
         print(f"{name:4} n={n:2} rows={c['rows']} bound={bound} acts={c['drained_acts']}"
               f"->{c['stopped_acts']} drained_s={drained_s} bound_s={bound_s} stopped_s={stopped_s}")
     run = {
-        "git_rev": git_rev(args.src),
+        "git_rev": benchio.git_rev(args.src),
         "repeat": REPEAT,
         "drained_s": round(sum(c["drained_s"] for c in cases), 4),
         "stopped_s": round(sum(c["bound_s"] + c["stopped_s"] for c in cases), 4),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
+        "peak_rss_mb": benchio.peak_rss_mb(),
+        "machine": benchio.machine(),
         "cases": cases,
     }
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    rows = [(c["spec"], c["n"], c["rows"]) for c in cases]
-    for label, other in doc.get("runs", {}).items():
-        if label != args.label and [(c["spec"], c["n"], c["rows"]) for c in other["cases"]] != rows:
-            raise SystemExit(f"rows differ from run {label!r}")
-    doc["benchmark"] = "levels"
-    doc.setdefault("runs", {})[args.label] = run
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    benchio.write_run(
+        args.out, "levels", args.label, run,
+        lambda r: [(c["spec"], c["n"], c["rows"]) for c in r["cases"]],
+    )
     print(f"total drained_s={run['drained_s']} stopped_s={run['stopped_s']} "
           f"peak_rss_mb={run['peak_rss_mb']}")
     return 0

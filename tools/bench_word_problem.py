@@ -32,19 +32,16 @@ script once per version, pointing --src at each version's `src`.
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import os
-import platform
 import random
-import resource
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+
+import benchio
 
 WORDS_PER_CLASS = 64
 MIN_LEN, MAX_LEN = 1_000, 100_000
@@ -178,16 +175,6 @@ def build(ss, root: Path, seed: int) -> dict:
     return out
 
 
-def git_rev(path: Path) -> str:
-    try:
-        return subprocess.run(
-            ["git", "-C", str(path), "describe", "--always", "--dirty", "--abbrev=40"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
@@ -229,29 +216,20 @@ def main(argv=None) -> int:
             "wall_s_runs": runs,
         })
     run = {
-        "git_rev": git_rev(args.src),
+        "git_rev": benchio.git_rev(args.src),
         "seed": args.seed,
         "repeat": REPEAT,
         "build_s": round(build_s, 3),
         "wall_s": round(sum(c["wall_s"] for c in classes), 4),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        "machine": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
+        "peak_rss_mb": benchio.peak_rss_mb(),
+        "machine": benchio.machine(),
         "classes": classes,
     }
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    counters = [{k: c[k] for k in ("spec", "trivial", "words", "letters", "nodes")} for c in classes]
-    for label, other in doc.get("runs", {}).items():
-        if label != args.label and other["seed"] == args.seed:
-            theirs = [{k: c[k] for k in counters[0]} for c in other["classes"]]
-            if theirs != counters:
-                raise SystemExit(f"counters differ from run {label!r} with the same seed")
-    doc["benchmark"] = "word_problem"
-    doc.setdefault("runs", {})[args.label] = run
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    keys = ("spec", "trivial", "words", "letters", "nodes")
+    benchio.write_run(
+        args.out, "word_problem", args.label, run,
+        lambda r: [{k: c[k] for k in keys} for c in r["classes"]] if r["seed"] == args.seed else None,
+    )
     for c in classes:
         print(f"{c['spec']:5} trivial={c['trivial']!s:5} words={c['words']} "
               f"letters={c['letters']} nodes={c['nodes']} wall_s={c['wall_s']}")
