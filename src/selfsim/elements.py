@@ -546,27 +546,23 @@ def find_cd(spec: GroupSpec) -> tuple[BVec, BVec]:
     """Deterministic pair (c, d) with omega(c) = 1, rho(c) = d, and d in
     ker(omega) but not in rho(ker omega); then c has wreath form (a, d).
 
-    d is the lexicographically least coordinate tuple in
-    ker(omega) \\ rho(ker omega), and c = rho^-1(d).  Both always exist:
-    on ker(omega) = {w : w_(m-1) = 0}, rho shifts the coordinates up one
-    place, so rho(ker omega) = {w : w_0 = 0}, and for m >= 2 the vector e_0
-    lies in ker(omega) outside it.  Every such d has d_0 != 0, and
-    rho(c)_0 = -c_(m-1) a_0, so c_(m-1) != 0: omega(c) = 1 at p = 2.
+    d = e_0 and c = rho^-1(e_0).  On ker(omega) = {w : w_(m-1) = 0}, rho
+    shifts the coordinates up one place, so rho(ker omega) = {w : w_0 = 0},
+    and for m >= 2 the difference is {w : w_(m-1) = 0, w_0 != 0}, whose
+    lexicographically least tuple is e_0.  rho(c)_0 = -c_(m-1) a_0 = 1, so
+    c_(m-1) != 0: omega(c) = 1 at p = 2.
     """
     if spec.p != 2:
         raise WrongCharacteristic("find_cd is a p = 2 construction")
     if spec.m < 2:
         raise StructureError("find_cd needs m >= 2 (ker omega must be nonzero)")
-    b0 = {c for c in range(spec.pm) if spec.omega_code[c] == 0}
-    b1 = {spec.rho_code[c] for c in b0}
-    d_coords = min(spec.coords_of(c) for c in b0 - b1)
-    d_code = spec.code_of(d_coords)
+    d_code = 1  # e_0
     c_code = spec.rho_inv_code[d_code]
     # Verify the wreath form (a, d) exactly.
     _, secs = _wreath_letters(spec, (c_code,))
     if secs[0] != (-1,) or secs[1] != (d_code,):
         raise StructureError("find_cd verification failed")
-    return BVec(spec.coords_of(c_code)), BVec(d_coords)
+    return BVec(spec.coords_of(c_code)), BVec(spec.coords_of(d_code))
 
 
 def phi_lift(x: Element) -> Element:

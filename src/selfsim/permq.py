@@ -171,30 +171,34 @@ def _depth_start(p: int, d: int) -> int:
     return (p**d - 1) // (p - 1)
 
 
+def _depth_of(p: int, pos: int) -> int:
+    """Depth of the vertex at breadth-first index pos."""
+    d = 0
+    while _depth_start(p, d + 1) <= pos:
+        d += 1
+    return d
+
+
 def _label_dtype(p: int):
     """int16 holds every label below 2^15; larger p needs int32."""
     return np.int16 if p <= 1 << 15 else np.int32
 
 
-def _leaf_to_labels(arr: np.ndarray, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _leaf_to_labels(arr: np.ndarray, p: int, n: int) -> np.ndarray:
     """Label-vector view of a leaf permutation: the cyclic shift it applies
-    to each vertex's children and the induced map of the vertices, both
-    breadth-first.  Labels determine an element of the wreath power, so
-    the permutation is one iff they rebuild it; if not, StructureError."""
+    to each vertex's children, breadth-first.  Labels determine an element
+    of the wreath power, so the permutation is one iff they rebuild it; if
+    not, StructureError."""
     arr = np.asarray(arr, dtype=np.int64)
-    V = _depth_start(p, n)
-    lv = np.empty(V, dtype=_label_dtype(p))
-    vp = np.empty(V, dtype=np.int64)
+    lv = np.empty(_depth_start(p, n), dtype=_label_dtype(p))
     for d in range(n):
         bs = p ** (n - d)
         off = _depth_start(p, d)
         img = arr[np.arange(p**d, dtype=np.int64) * bs]
-        sl = slice(off, off + p**d)
-        vp[sl] = off + img // bs
-        lv[sl] = (img % bs) // (bs // p)
+        lv[off : off + p**d] = (img % bs) // (bs // p)
     if not np.array_equal(_labels_to_leaf(lv, p, n), arr):
         raise StructureError("permutation is not in the wreath power of Z/p")
-    return lv, vp
+    return lv
 
 
 def _labels_to_leaf(lv: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -300,9 +304,7 @@ class _PackedVectors:
         position `key`: its rotations and its packed labels.  Key 0 suits
         any element of the wreath power."""
         p, n, F = self.p, self.n, self.F
-        d = 0
-        while _depth_start(p, d + 1) <= key:
-            d += 1
+        d = _depth_of(p, key)
         rots = []
         for k in range(n - 2 - d, -1, -1):
             w = p**k
@@ -414,7 +416,7 @@ class PivotBasis(NamedTuple):
         packed = self.packed
         F, fmask = packed.F, packed.fmask
         try:
-            x = packed.pack(_leaf_to_labels(perm, p, n)[0])
+            x = packed.pack(_leaf_to_labels(perm, p, n))
         except StructureError:
             return False
         while x:
@@ -431,7 +433,7 @@ def tree_pivot_basis(
     p: int,
     n: int,
     conj_arrays: Optional[Sequence[np.ndarray]] = None,
-    max_rows: Optional[int] = None,
+    depth_rows: Optional[Sequence[int]] = None,
 ) -> PivotBasis:
     """Pivot basis of the permutation group the arrays generate, assuming
     they respect the p-ary tree structure (checked); a generator may also
@@ -470,62 +472,98 @@ def tree_pivot_basis(
     install step, while memory stays O(rows x V) for V label-carrying
     vertices: the rows and a queue of generators plus at most
     1 + len(conj_arrays) packed vectors per row.
-    For p = 2 the deepest vertex band is elementary abelian and holds
-    roughly half the pivots, so material landing there is eliminated with
-    bitset arithmetic and band pairs, which commute, are skipped
-    outright.
 
-    `max_rows`, if given, must be an upper bound on log_p of the group's
-    order; the build returns as soon as it has that many rows, top and
-    band together.  This is exact.  Every row lies in the group and the
-    products of row powers in key order are distinct elements, so
-    p ** rows <= order <= p ** max_rows.  When the two meet, those
-    products are the whole group: any later item reduces to the identity,
-    as one more row would give the drained basis, which describes the
-    group exactly, more than p ** max_rows elements.  Rows never change
-    once installed, so the keys, labels and actions are those of a build
-    that drains its queue.  If the bound is never met, the queue drains
-    as without it."""
+    For p = 2 the deepest vertex band is elementary abelian: its elements
+    are plain bit vectors, eliminated with bitset arithmetic, and band
+    pairs, which commute, are skipped outright.  Its rows are closed under
+    conjugation by the generators and the conjugators only, not by every
+    top row.  A subgroup that a generating set normalizes is normal, so
+    the band span is normalized by the whole group and, as it is abelian,
+    every commutator of a top row with a band row lies in it.  The top
+    rows never read the band rows, so they are those of any closure order;
+    on return the band rows are put in reduced echelon form (no band row
+    has a bit set at another's pivot), so they depend only on the band
+    subgroup.
+
+    `depth_rows`, if given, must bound from above, for each depth d, the
+    number of rows keyed at depth d, which is log_p |St(d) : St(d+1)| for
+    the group's level stabilizers St.  The rows keyed at depth d or deeper
+    lie in St(d), and their products in key order are distinct, so once
+    each of those depths has met its bound, those products are all of
+    St(d).  From then on every item whose leading position lies at depth
+    d or deeper reduces to the identity, as one more row would give more
+    elements than St(d) has, so it is dropped unreduced; so are the
+    commutators of two rows of which one is keyed there, which lie in
+    St(d).  At p = 2 a full band ends the band elimination and clears its
+    queue, and once every depth is full the build returns.  This is exact:
+    rows never change once installed, so the keys and labels are those of
+    a build that drains its queue."""
     V = _depth_start(p, n)
     packed = _PackedVectors(p, n)
     F, fmask, pack, act = packed.F, packed.fmask, packed.pack, packed.act
     # each conjugator as the actions of itself and of its inverse
     conjs, conj_invs = [], []
     for c_leaf in conj_arrays or ():
-        ca, ca_inv, _ = packed.element(_leaf_to_labels(c_leaf, p, n)[0], 0)
+        ca, ca_inv, _ = packed.element(_leaf_to_labels(c_leaf, p, n), 0)
         conjs.append(ca)
         conj_invs.append(ca_inv)
 
     # the row index of each pivot position, None where there is none yet;
-    # per row the actions of its powers 1 .. p-1 and of its inverse, and
-    # its support (the positions it relabels or moves) as a bit mask
+    # per row its key, the actions of its powers 1 .. p-1 and of its
+    # inverse, and its support (the positions it relabels or moves) as a
+    # bit mask
     key2row: list = [None] * V
+    row_keys: list[int] = []
     row_acts: list[list] = []
     row_invs: list = []
     row_supports: list[int] = []
+
+    # FIFO work: packed label vectors, or the pending generator of a new
+    # row's commutators with the earlier rows; `batch` yields the popped
+    # generator's commutators before the next entry
+    work: deque = deque(
+        g if isinstance(g, int) else pack(_leaf_to_labels(g, p, n)) for g in gen_arrays
+    )
+    batch = iter(())
+
+    # the rows each depth may still take, and full_from, the first position
+    # of the run of full depths that ends at the deepest one (V if none)
+    room = None if depth_rows is None else list(depth_rows)
+    full_depth, full_from = n, V
+
+    def fill(d):
+        """Count a row keyed at depth d and move full_from past the depths
+        that are now full."""
+        nonlocal full_depth, full_from
+        if room is None:
+            return
+        room[d] -= 1
+        while full_depth and not room[full_depth - 1]:
+            full_depth -= 1
+        full_from = _depth_start(p, full_depth)
 
     # the band of deepest vertices: for p = 2 its elements are plain bit
     # vectors (trivial vertex action), handled by integer xor elimination;
     # bot[pb] is the bitset keyed at band position pb
     bottom0 = _depth_start(p, n - 1) if p == 2 and n else V
     bot: list = [None] * (V - bottom0)
-    band_rows = 0
     botwork: deque = deque()
-
-    def moved(rots, bits):
-        """The band bitset gathered through a vertex map given by its
-        rotations; the band only exists at p = 2, where adding 0 is an
-        xor."""
-        return act((rots, 0), bits << bottom0) >> bottom0
+    # the vertex maps that close the band: the generators' and conjugators'
+    movers = []
+    if bot:
+        movers = [packed.row_action(packed.unpack(g), 0)[0] for g in work]
+        movers += [rots for rots, _ in conjs]
 
     def install_bottom(pb, bits):
-        nonlocal band_rows
         bot[pb] = bits
-        band_rows += 1
-        # its images under every row's inverse vertex map, then every
-        # conjugator's
-        for rots, _ in row_invs + conj_invs:
-            c = moved(rots, bits)
+        fill(n - 1)
+        if full_from <= bottom0:
+            botwork.clear()
+            return
+        # its images under conjugation by every mover; the band only
+        # exists at p = 2, where adding 0 is an xor
+        for rots in movers:
+            c = act((rots, 0), bits << bottom0) >> bottom0
             if c != bits:
                 botwork.append(c)
 
@@ -541,10 +579,11 @@ def tree_pivot_basis(
     def commutators(k):
         """Packed nonzero commutators "first row j, then row k, then the
         inverse of row j, then that of row k" of row k with each earlier
-        row j whose support meets it."""
+        row j whose support meets it, unless one of the two is keyed at a
+        full depth."""
         hk, hk_inv, sup = row_acts[k][1], row_invs[k][1], row_supports[k]
         for j in range(k):
-            if row_supports[j] & sup:
+            if row_supports[j] & sup and max(row_keys[j], row_keys[k]) < full_from:
                 c = act(row_acts[j][1], act(hk, act(row_invs[j], hk_inv)))
                 if c:
                     yield c
@@ -560,6 +599,8 @@ def tree_pivot_basis(
                 h = act(xa, h)
         k = len(row_acts)
         key2row[idx] = k
+        row_keys.append(idx)
+        fill(_depth_of(p, idx))
         ha, inv, support = packed.element(packed.unpack(h), idx)
         acts, power = [None, ha], h
         for _ in range(p - 2):
@@ -578,23 +619,10 @@ def tree_pivot_basis(
             # labels determine the vertex map, so equal labels mean equal
             if c != h:
                 work.append(c)
-        # the band bitsets in key order, moved by the new row
-        for bits in bot:
-            if bits is not None:
-                c = moved(inv[0], bits)
-                if c != bits:
-                    botwork.append(c)
 
-    # FIFO work: packed label vectors, or the pending generator of a new
-    # row's commutators with the earlier rows; `batch` yields the popped
-    # generator's commutators before the next entry
-    work: deque = deque(
-        g if isinstance(g, int) else pack(_leaf_to_labels(g, p, n)[0]) for g in gen_arrays
-    )
-    batch = iter(())
-
-    # with max_rows None the loop ends only when the queue drains
-    while len(row_acts) + band_rows != max_rows:
+    # without depth_rows, full_from is 0 only for n = 0, and the loop ends
+    # when the queue drains
+    while full_from:
         if botwork:
             reduce_bits(botwork.popleft())
             continue
@@ -608,6 +636,8 @@ def tree_pivot_basis(
                 continue
         while x:
             idx = ((x & -x).bit_length() - 1) // F
+            if idx >= full_from:
+                break
             if idx >= bottom0:
                 reduce_bits(x >> bottom0)
                 break
@@ -617,9 +647,22 @@ def tree_pivot_basis(
                 install(idx, s, x)
                 break
             x = act(row_acts[row][p - s], x)
+    # the band in reduced echelon form, highest pivot first: a row with a
+    # bit at a higher pivot takes that pivot's row, which is already
+    # reduced and so carries no other higher pivot
+    bot_keys = [pb for pb, bits in enumerate(bot) if bits is not None]
+    pivots = 0
+    for pb in reversed(bot_keys):
+        bits = bot[pb]
+        hits = bits & pivots
+        while hits:
+            q = (hits & -hits).bit_length() - 1
+            bits ^= bot[q]
+            hits ^= 1 << q
+        bot[pb] = bits
+        pivots |= 1 << pb
     # rows in key order; bottom-band rows act on labels only, by an xor
     top_keys = [key for key in range(bottom0) if key2row[key] is not None]
-    bot_keys = [pb for pb, bits in enumerate(bot) if bits is not None]
     keys = np.array(top_keys + [bottom0 + pb for pb in bot_keys], dtype=np.int64)
     acts = [row_acts[key2row[key]] for key in top_keys]
     acts += [[None, ([], bot[pb] << bottom0)] for pb in bot_keys]
@@ -634,35 +677,40 @@ def group_desc(spec: GroupSpec) -> SubgroupDesc:
     return SubgroupDesc("G", generating_set(spec), False, spec)
 
 
-def log_order_bound(spec: GroupSpec, n: int) -> Optional[int]:
-    """A proven upper bound on x_n = log_p |G_n| for n > s = m + 2, read
-    off one basis of G_s; None for n <= s.
+def depth_row_bounds(spec: GroupSpec, n: int) -> Optional[list[int]]:
+    """For each depth d < n, a proven upper bound on the number of rows of
+    G_n's basis keyed at depth d, which is x_(d+1) - x_d for
+    x_k = log_p |G_k|; read off one basis of G_s for s = m + 2, and None
+    for n <= s.
 
+    Below depth s the counts are exact: they are those of G_s's basis.
     Every section of an element of G lies in G.  An element g of
-    St_G(n-1) fixes level n - s, so its action on level n is that of its
-    sections at the p^(n-s) vertices of depth n - s on their subtrees of
-    depth s; each section lies in G and fixes level s - 1.  So the kernel
-    St_{G_n}(n-1) of G_n -> G_(n-1) embeds into St_{G_s}(s-1)^(p^(n-s)),
-    and x_n <= x_(n-1) + p^(n-s) (x_s - x_(s-1)).  Summed from s + 1 to n:
-    x_n <= x_s + (x_s - x_(s-1)) (p + p^2 + ... + p^(n-s)).
+    St_G(d) fixes level d + 1 - s, so its action on level d + 1 is that of
+    its sections at the p^(d+1-s) vertices of depth d + 1 - s on their
+    subtrees of depth s; each section lies in G and fixes level s - 1.  So
+    the kernel St_{G_(d+1)}(d) of G_(d+1) -> G_d embeds into
+    St_{G_s}(s-1)^(p^(d+1-s)), and x_(d+1) - x_d <= p^(d+1-s) (x_s - x_(s-1))
+    for d >= s - 1.
 
-    Equality in the recursion is the pattern-closure hypothesis (Sunic
-    2011), and it holds on every non-degenerate spec enumerated so far;
-    only the inequality is used here.  On the dihedral spec it is loose."""
+    Equality is the pattern-closure hypothesis (Sunic 2011), and it holds
+    on every non-degenerate spec enumerated so far; only the inequality is
+    used here.  On the dihedral spec it is loose."""
     p, s = spec.p, spec.m + 2
     if n <= s:
         return None
     base = chain_from(group_desc(spec), s)
-    step = len(base.stabilizer(s - 1).keys)
-    return len(base.keys) + step * (p ** (n - s + 1) - p) // (p - 1)
+    # rows[d]: the rows of G_s keyed at depth d or deeper
+    rows = [len(base.stabilizer(d).keys) for d in range(s)] + [0]
+    return [rows[d] - rows[d + 1] if d < s else rows[s - 1] * p ** (d + 1 - s) for d in range(n)]
 
 
 def group_chain(spec: GroupSpec, n: int) -> PivotBasis:
     """Basis of the full level quotient G_n.  Above level m + 2 the build
-    stops once it meets `log_order_bound`, which gives the same basis as
+    drops the work that falls in depths full to `depth_row_bounds` and
+    stops once every depth is full, which gives the same basis as
     draining its queue."""
     gen_arrays = [level_perm(g, n).images for g in generating_set(spec)]
-    return tree_pivot_basis(gen_arrays, spec.p, n, max_rows=log_order_bound(spec, n))
+    return tree_pivot_basis(gen_arrays, spec.p, n, depth_rows=depth_row_bounds(spec, n))
 
 
 def chain_from(desc: SubgroupDesc, n: int) -> PivotBasis:
@@ -703,7 +751,7 @@ def derived_chain(gen_arrays: Sequence[np.ndarray], p: int, n: int, k: int = 1) 
     packed = _PackedVectors(p, n)
     act = packed.act
     # the current generators: labels, and the key before which they vanish
-    cur = [(_leaf_to_labels(g, p, n)[0], 0) for g in gen_arrays]
+    cur = [(_leaf_to_labels(g, p, n), 0) for g in gen_arrays]
     for _ in range(k):
         elems = [packed.element(lv, key) for lv, key in cur]
         comms = [
@@ -756,7 +804,7 @@ def stab_in_derived_check(spec: GroupSpec, n: int) -> StabDerivedReport:
     G_n -> G_{m+1}.  The same holds in G, whose abelianization is also
     generated by a and B of order p and maps onto G_{m+1}/G_{m+1}': so
     St_G(m+1) <= G'.  The first entry reads both orders off G_n's basis,
-    which stops at `log_order_bound` as in `group_chain`; at odd p,
+    which stops at `depth_row_bounds` as in `group_chain`; at odd p,
     `derived_chain` reuses its level-n generator images.
 
     The second inclusion is checked at level n, an exact necessary
@@ -770,7 +818,7 @@ def stab_in_derived_check(spec: GroupSpec, n: int) -> StabDerivedReport:
     if n <= ell:
         raise ValueError(f"need n > {ell} for this spec")
     gen_arrays = [level_perm(g, n).images for g in generating_set(spec)]
-    chain = tree_pivot_basis(gen_arrays, p, n, max_rows=log_order_bound(spec, n))
+    chain = tree_pivot_basis(gen_arrays, p, n, depth_rows=depth_row_bounds(spec, n))
     entries = [
         StabDerivedEntry(
             m + 1, 1, chain.stabilizer(m + 1).order, chain.order // p ** (m + 1), True

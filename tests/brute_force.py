@@ -8,8 +8,9 @@ derived terms formed from leaf permutations, with the block check
 that the checked read of a level image replaced, the companion-matrix
 code tables that the tables built straight from f replaced, the
 letter-by-letter level transducer that the memoized section unfold
-replaced, the vertex-by-vertex walk of a recursion system, and explicit
-generators of each index-p kernel."""
+replaced, the vertex-by-vertex walk of a recursion system, the search
+over every code that the closed-form (c, d) of `find_cd` replaced, and
+explicit generators of each index-p kernel."""
 
 from collections import deque
 from functools import lru_cache
@@ -41,6 +42,16 @@ def reference_code_tables(spec):
     for code, img in enumerate(rho_code):
         rho_inv_code[img] = code
     return tuple(rho_code), tuple(rho_inv_code), tuple(omega_code), tuple(neg_code)
+
+
+def reference_find_cd(spec):
+    """(c, d) as coordinate tuples: d the lexicographically least tuple in
+    ker(omega) minus rho(ker omega), both built over all p^m codes, and
+    c = rho^-1(d); the oracle for the closed form of `elements.find_cd`."""
+    b0 = {c for c in range(spec.pm) if spec.omega_code[c] == 0}
+    b1 = {spec.rho_code[c] for c in b0}
+    d = min(spec.coords_of(c) for c in b0 - b1)
+    return spec.coords_of(spec.rho_inv_code[spec.code_of(d)]), d
 
 
 def kernel_generators(spec, functional):
@@ -444,6 +455,25 @@ class ReferenceBasis(NamedTuple):
     verts: np.ndarray
 
 
+def reference_leaf_labels(arr, p: int, n: int):
+    """Labels and vertex map of a leaf permutation in the wreath power,
+    both breadth-first, read off the images of each depth's first leaves:
+    the vertex map independently of `permq._verts_from_labels`."""
+    from selfsim.permq import _depth_start
+
+    arr = np.asarray(arr, dtype=np.int64)
+    V = _depth_start(p, n)
+    lv = np.empty(V, dtype=np.int16)
+    vp = np.empty(V, dtype=np.int64)
+    for d in range(n):
+        bs = p ** (n - d)
+        off = _depth_start(p, d)
+        img = arr[np.arange(p**d, dtype=np.int64) * bs]
+        vp[off : off + p**d] = off + img // bs
+        lv[off : off + p**d] = (img % bs) // (bs // p)
+    return lv, vp
+
+
 def _compose(l1, v1, l2, v2, p: int):
     """Label-vector product "first apply (l2, v2)": labels add at the
     image vertex."""
@@ -463,10 +493,13 @@ def _invert_labels(lv, vp, p: int):
 def reference_pivot_basis(gen_arrays, p, n, conj_arrays=None):
     """`tree_pivot_basis` as a numpy reduction loop over unpacked label
     vectors: each step composes with a basis power by two fancy indexes
-    and finds the next pivot by argmax.  The oracle for the packed-integer
-    reduction, which must return the same keys and labels, and whose
-    composed vertex maps the engine's labels must determine."""
-    from selfsim.permq import _depth_start, _leaf_to_labels
+    and finds the next pivot by argmax.  The p = 2 band is closed under
+    conjugation by every row as it is installed, and put in reduced
+    echelon form on return.  The oracle for the packed-integer reduction,
+    which closes the band under the generators and conjugators alone and
+    must return the same keys and labels, and whose composed vertex maps
+    the engine's labels must determine."""
+    from selfsim.permq import _depth_start
 
     gens = [np.asarray(a, dtype=np.int64) for a in gen_arrays]
     conj_leaf = [np.asarray(c, dtype=np.int64) for c in (conj_arrays or ())]
@@ -476,7 +509,7 @@ def reference_pivot_basis(gen_arrays, p, n, conj_arrays=None):
     iden_v = np.arange(V, dtype=np.int64)
     conj_pairs = []
     for c_leaf in conj_leaf:
-        cl, cv = _leaf_to_labels(c_leaf, p, n)
+        cl, cv = reference_leaf_labels(c_leaf, p, n)
         conj_pairs.append((cl, cv) + _invert_labels(cl, cv, p))
 
     # one row per installed pivot vertex; the matrices let a row's
@@ -554,7 +587,7 @@ def reference_pivot_basis(gen_arrays, p, n, conj_arrays=None):
     # FIFO work: label vectors, or a row index k standing for the
     # commutators of row k with the earlier rows, formed only when popped;
     # `batch` yields the popped row's commutators before the next entry
-    work: deque = deque(_leaf_to_labels(arr, p, n) for arr in gens)
+    work: deque = deque(reference_leaf_labels(arr, p, n) for arr in gens)
     batch = iter(())
 
     while True:
@@ -623,9 +656,15 @@ def reference_pivot_basis(gen_arrays, p, n, conj_arrays=None):
                     botwork.append(pack_bits(CM[r]))
             row_bvpi.append(bvpi)
             break
+    # the band in reduced echelon form: from the highest pivot down, clear
+    # its bit in every band row keyed before it
+    bot_keys = sorted(bot)
+    for i, q in reversed(list(enumerate(bot_keys))):
+        for pb in bot_keys[:i]:
+            if bot[pb] >> q & 1:
+                bot[pb] ^= bot[q]
     # rows in key order; bottom-band rows act on labels only
     top_keys = sorted(key2row)
-    bot_keys = sorted(bot)
     keys = np.array(top_keys + [bottom0 + pb for pb in bot_keys], dtype=np.int64)
     labels = np.zeros((len(keys), V), dtype=np.int16)
     verts = np.tile(iden_v, (len(keys), 1))

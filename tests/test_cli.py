@@ -75,9 +75,9 @@ def test_levels_builds_one_basis(tmp_path, capsys, monkeypatch):
     build = selfsim.permq.tree_pivot_basis
     levels = []
 
-    def spy(gen_arrays, p, n, conj_arrays=None, max_rows=None):
+    def spy(gen_arrays, p, n, conj_arrays=None, depth_rows=None):
         levels.append(n)
-        return build(gen_arrays, p, n, conj_arrays, max_rows=max_rows)
+        return build(gen_arrays, p, n, conj_arrays, depth_rows=depth_rows)
 
     monkeypatch.setattr(selfsim.permq, "tree_pivot_basis", spy)
     assert main(["levels", GE, "--max", "8"]) == 0

@@ -1,8 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
-from brute_force import reference_wreath_letters
+from brute_force import reference_find_cd, reference_wreath_letters
 from selfsim import (
     AbelImage,
     Element,
@@ -473,6 +474,20 @@ def test_find_cd_frozen(ge, grig):
     assert (c.coords, d.coords) == ((0, 1), (1, 0))
     c, d = find_cd(grig)
     assert (c.coords, d.coords) == ((1, 1), (1, 0))
+
+
+def test_find_cd_matches_search():
+    # the closed form d = e_0, c = rho^-1(e_0) against the least tuple of
+    # ker(omega) minus rho(ker omega), on every p = 2 spec with m <= 8
+    # (a_0 = 1, so 2^(m-1) specs of each degree, 254 in all)
+    seen = 0
+    for m in range(2, 9):
+        for rest in product((0, 1), repeat=m - 1):
+            spec = make_spec(2, (1,) + rest)
+            c, d = find_cd(spec)
+            assert (c.coords, d.coords) == reference_find_cd(spec), spec.coeffs
+            seen += 1
+    assert seen == 254
 
 
 def test_phi_lift_shape(ge, grig):

@@ -13,6 +13,7 @@ from brute_force import (
     closure_order,
     reference_density_check,
     reference_derived_chain,
+    reference_leaf_labels,
     reference_level_perm,
     reference_pivot_basis,
     reference_stab_in_derived_check,
@@ -51,7 +52,7 @@ from selfsim.permq import (
     branch_group_desc,
     group_desc,
     invert_perm,
-    log_order_bound,
+    depth_row_bounds,
     tree_pivot_basis,
 )
 from selfsim.errors import (
@@ -365,16 +366,18 @@ def test_basis_rows_pinned(ge, grig, fg):
     # derived_chain takes the rows in this order as the next round's
     # generators; the digest covers keys, labels and the vertex maps the labels determine,
     # byte for byte.  The cases cover both add rules (p = 2 and odd p),
-    # normal closures and derived terms.
+    # normal closures and derived terms.  The p = 2 digests are those of
+    # the bases built with the band closed under every row, their band
+    # rows then put in reduced echelon form.
     fg_gens = [level_perm(g, 4).images for g in generating_set(fg)]
     pinned = {
         "ge 8": (
             lambda: group_chain(ge, 8),
-            "882bfbab9430192454657f068002aa16dcf6b3a0884d7f96b7582f51b83a8bce",
+            "b09c683ee8b17b7d194905af5bec19c822ecdfc9ffa96955d7b90d62093621e7",
         ),
         "grig 8": (
             lambda: group_chain(grig, 8),
-            "13b10d511fa30485b580ce7635e5f3d7b8aac6d278807afe4b640c7f5995b7f4",
+            "5775f3f41f95edfb219903755f74c8b9205a7e2b9981d6fc42b5025f005f0213",
         ),
         "fg 5": (
             lambda: group_chain(fg, 5),
@@ -382,7 +385,7 @@ def test_basis_rows_pinned(ge, grig, fg):
         ),
         "branch closure ge 7": (
             lambda: chain_from(branch_group_desc(ge), 7),
-            "4398cdee43945594a13e24292639f46fd268240ce3c119d4af8e5938e8060de9",
+            "b8c1a6544b703d9412c8cb47faaf6ca4b1c7c4bb58b2f33b9245f257d2180225",
         ),
         "second derived fg 4": (
             lambda: derived_chain(fg_gens, 3, 4, 2),
@@ -456,13 +459,27 @@ def test_packed_vectors_memory():
     assert _PackedVectors(257, 3)._blocks[0][1].max() == 256
 
 
-def test_pivot_basis_matches_reference():
+def assert_same_basis(got, want, case):
+    """The engine's basis against the oracle's, byte for byte; the oracle
+    composes each row's vertex map, and the engine's labels must
+    determine the same map."""
+    assert got.order == want.order, case
+    fields = {"keys": got.keys, "labels": got.labels, "verts": basis_verts(got)}
+    for field, a in fields.items():
+        b = getattr(want, field)
+        assert a.dtype == b.dtype, (case, field)
+        assert a.tobytes() == b.tobytes(), (case, field)
+
+
+def test_pivot_basis_matches_reference(ge, grig):
     # the packed reduction against the numpy loop it replaced, on random
     # generator sets, plain and as a normal closure; sparse generators
     # give proper subgroups, dense ones mostly the whole wreath power; past
     # 40 vertices the slow loop takes seconds, so one density is tried
-    # there.  The oracle composes each row's vertex map, and the engine's
-    # labels must determine the same map.
+    # there.  At p = 2 the engine closes its band under the generators and
+    # conjugators, the oracle under every row, so equal bytes also check
+    # the two closure orders against each other; the whole-group builds
+    # add the stop at `depth_row_bounds`.
     rng = random.Random(6)
     for p, top in ((2, 5), (3, 5), (5, 3)):
         for n in range(2, top + 1):
@@ -475,13 +492,15 @@ def test_pivot_basis_matches_reference():
                 for kw in ({}, {"conj_arrays": conj}):
                     got = tree_pivot_basis(gens, p, n, **kw)
                     want = reference_pivot_basis(gens, p, n, **kw)
-                    case = (p, n, support, sorted(kw))
-                    assert got.order == want.order, case
-                    fields = {"keys": got.keys, "labels": got.labels, "verts": basis_verts(got)}
-                    for field, a in fields.items():
-                        b = getattr(want, field)
-                        assert a.dtype == b.dtype, (case, field)
-                        assert a.tobytes() == b.tobytes(), (case, field)
+                    assert_same_basis(got, want, (p, n, support, sorted(kw)))
+    for spec in (ge, grig):
+        gens = [level_perm(g, 8).images for g in generating_set(spec)]
+        assert_same_basis(group_chain(spec, 8), reference_pivot_basis(gens, 2, 8), spec)
+        desc = branch_group_desc(spec)
+        branch = [level_perm(g, 7).images for g in desc.generators]
+        ambient = [level_perm(g, 7).images for g in generating_set(spec)]
+        want = reference_pivot_basis(branch, 2, 7, conj_arrays=ambient)
+        assert_same_basis(chain_from(desc, 7), want, (spec, "K"))
 
 
 def test_packed_add_and_row_action():
@@ -502,8 +521,8 @@ def test_packed_add_and_row_action():
                 rl = rng.integers(0, p, V, dtype=np.int16)
                 rl[:key] = 0
                 xl = rng.integers(0, p, V, dtype=np.int16)
-                row = _leaf_to_labels(_labels_to_leaf(rl, p, n), p, n)
-                elt = _leaf_to_labels(_labels_to_leaf(xl, p, n), p, n)
+                row = reference_leaf_labels(_labels_to_leaf(rl, p, n), p, n)
+                elt = reference_leaf_labels(_labels_to_leaf(xl, p, n), p, n)
                 assert np.array_equal(_verts_from_labels(row[0], p, n), row[1])
                 want = _compose(elt[0], elt[1], row[0], row[1], p)[0]
                 got = space.act(space.row_action(row[0], key), space.pack(elt[0]))
@@ -605,7 +624,7 @@ def test_leaf_to_labels_refuses_what_the_block_check_refuses():
                     except StructureError:
                         want = False
                     try:
-                        lv = _leaf_to_labels(x, p, n)[0]
+                        lv = _leaf_to_labels(x, p, n)
                         got = True
                     except StructureError:
                         got = False
@@ -707,7 +726,7 @@ def test_stab_in_derived_matches_reference(ge, grig, fg):
 
 def test_stab_in_derived_builds_derived_terms_once(ge, grig, fg, monkeypatch):
     # p = 2: the first inclusion is proved, so only the basis of G_n is built,
-    # after the level-(m+2) basis that `log_order_bound` reads; odd p: one
+    # after the level-(m+2) basis that `depth_row_bounds` reads; odd p: one
     # derived_chain call builds G_n'' (and G_n' on the way); each
     # generator's level-n permutation is evaluated once for both
     calls = []
@@ -795,9 +814,9 @@ def test_density_builds_nothing_above_m_plus_1(ge, monkeypatch):
     levels = []
     build = selfsim.permq.tree_pivot_basis
 
-    def spy(gen_arrays, p, n, conj_arrays=None, max_rows=None):
+    def spy(gen_arrays, p, n, conj_arrays=None, depth_rows=None):
         levels.append(n)
-        return build(gen_arrays, p, n, conj_arrays, max_rows=max_rows)
+        return build(gen_arrays, p, n, conj_arrays, depth_rows=depth_rows)
 
     monkeypatch.setattr(selfsim.permq, "tree_pivot_basis", spy)
     h3 = SubgroupDesc("H3", list(hq(ge, 3).generators))
@@ -848,21 +867,57 @@ def drained_basis(spec, n):
     return tree_pivot_basis(gens, spec.p, n)
 
 
+def depth_counts(basis):
+    """The rows of a basis keyed at each depth."""
+    tails = [len(basis.stabilizer(d).keys) for d in range(basis.n + 1)]
+    return [tails[d] - tails[d + 1] for d in range(basis.n)]
+
+
 def test_order_bound_vs_drained_build(dih):
-    # the bound holds against a build that drains its queue; it is tight
-    # on the baseline specs and loose on the dihedral spec, whose builds
-    # therefore still drain
+    # each depth's bound holds against a build that drains its queue; it
+    # is tight on the baseline specs and loose at some depth on the
+    # dihedral spec, whose builds therefore still drain
     for p, coeffs in BASELINE_SPECS:
         spec = make_spec(p, coeffs)
         s = spec.m + 2
-        assert log_order_bound(spec, s) is None
+        assert depth_row_bounds(spec, s) is None
         for n in (n for n in range(s + 1, 9) if p**n <= 2**8):
-            assert log_order_bound(spec, n) == len(drained_basis(spec, n).keys), (p, coeffs, n)
+            want = depth_counts(drained_basis(spec, n))
+            assert depth_row_bounds(spec, n) == want, (p, coeffs, n)
     # p = 5 reaches level m + 3 only at degree 3,125, where the drained
     # build takes about half a minute; it enumerated log_5 |G_5| = 751
-    assert log_order_bound(make_spec(5, (1, 1)), 5) == 751
+    assert sum(depth_row_bounds(make_spec(5, (1, 1)), 5)) == 751
     for n in range(4, 9):
-        assert log_order_bound(dih, n) > len(drained_basis(dih, n).keys) == n + 1
+        bounds, counts = depth_row_bounds(dih, n), depth_counts(drained_basis(dih, n))
+        assert all(b >= c for b, c in zip(bounds, counts)) and bounds != counts, n
+        assert sum(counts) == n + 1
+
+
+def test_band_rows_are_canonical(ge, grig):
+    # the p = 2 band rows depend only on the band subgroup: shuffled and
+    # duplicated generators, plain and as normal closures, give the same
+    # band keys and labels byte for byte, and no band row has a bit set
+    # at another band row's pivot
+    rng = random.Random(27)
+    cases = []
+    for spec, n in ((ge, 7), (grig, 7)):
+        ambient = [level_perm(g, n).images for g in generating_set(spec)]
+        branch = [level_perm(g, n).images for g in branch_group_desc(spec).generators]
+        cases += [(n, ambient, None), (n, branch, ambient)]
+    for n in (4, 5):
+        gens = [random_tree_perm(rng, 2, n, 0.25) for _ in range(3)]
+        cases += [(n, gens, None), (n, gens, [random_tree_perm(rng, 2, n, 0.25)])]
+    for n, gens, conj in cases:
+        bottom0 = _depth_start(2, n - 1)
+        seen = set()
+        for variant in (gens, rng.sample(gens, len(gens)), gens + rng.sample(gens, len(gens))):
+            basis = tree_pivot_basis(variant, 2, n, conj_arrays=conj)
+            band = basis.keys >= bottom0
+            keys, labels = basis.keys[band], basis.labels[band]
+            seen.add((keys.tobytes(), labels.tobytes()))
+            assert len(keys)
+            assert (labels[:, keys].sum(axis=0) == 1).all(), n
+        assert len(seen) == 1, n
 
 
 def test_stopped_build_matches_drained(ge, grig, fg, monkeypatch):
@@ -876,7 +931,7 @@ def test_stopped_build_matches_drained(ge, grig, fg, monkeypatch):
         seen = set()
         for _ in range(10):
             x = level_perm(random_word(spec, rng, rng.randrange(1, 40)), n).images
-            lv = _leaf_to_labels(x, p, n)[0]
+            lv = _leaf_to_labels(x, p, n)
             lv[rng.randrange(len(lv))] += 1
             flipped = _labels_to_leaf(lv % p, p, n)
             for y in (x, flipped):

@@ -1,5 +1,5 @@
 """Layer benchmark for the tree pivot basis: the whole-group level quotient
-G_n, built with and without the order bound that stops it.
+G_n, built with and without the per-depth row bounds that stop it.
 
     python3 tools/bench_levels.py [--label NAME] [--src DIR] [--out PATH]
 
@@ -8,15 +8,17 @@ levels 4-6 the script evaluates the generators on level n once, then
 times
 
   drained_s   `tree_pivot_basis(gens, p, n)`, which drains its queue;
-  bound_s     `log_order_bound(spec, n)`, one basis of G_(m+2);
-  stopped_s   `tree_pivot_basis(gens, p, n, max_rows=bound)`, which
-              returns once it has `bound` rows.
+  bound_s     `depth_row_bounds(spec, n)`, one basis of G_(m+2);
+  stopped_s   `tree_pivot_basis(gens, p, n, depth_rows=bounds)`, which
+              drops the work that falls in full depths and returns once
+              every depth has its bound of rows.
 
 `group_chain` costs the evaluation plus bound_s plus stopped_s.  Each
 time is the median over REPEAT passes.  The two bases must have the same
-keys and labels.  The counters are deterministic: rows, the bound, and
-the `_PackedVectors.act` calls of each build, counted by the script's own
-wrapper in one extra pass each (the timed passes run unwrapped).
+keys and labels.  The counters are deterministic: rows, the bound (the
+sum of the per-depth bounds), and the `_PackedVectors.act` calls of each
+build, counted by the script's own wrapper in one extra pass each (the
+timed passes run unwrapped).
 peak_rss_mb is the process's peak RSS, and git_rev the commit of --src,
 with "-dirty" for uncommitted changes.
 
@@ -88,8 +90,8 @@ def main(argv=None) -> int:
         p = spec.p
         gens = [ss.level_perm(g, n).images for g in ss.generating_set(spec)]
         drained, drained_s = timed(lambda: permq.tree_pivot_basis(gens, p, n))
-        bound, bound_s = timed(lambda: permq.log_order_bound(spec, n))
-        stopped, stopped_s = timed(lambda: permq.tree_pivot_basis(gens, p, n, max_rows=bound))
+        bounds, bound_s = timed(lambda: permq.depth_row_bounds(spec, n))
+        stopped, stopped_s = timed(lambda: permq.tree_pivot_basis(gens, p, n, depth_rows=bounds))
         if not (np.array_equal(stopped.keys, drained.keys)
                 and np.array_equal(stopped.labels, drained.labels)):
             raise RuntimeError(f"{name} {n}: the stopped basis differs from the drained one")
@@ -97,17 +99,17 @@ def main(argv=None) -> int:
             "spec": name,
             "n": n,
             "rows": len(drained.keys),
-            "bound": bound,
+            "bound": sum(bounds),
             "drained_acts": counted_acts(permq, lambda: permq.tree_pivot_basis(gens, p, n)),
             "stopped_acts": counted_acts(
-                permq, lambda: permq.tree_pivot_basis(gens, p, n, max_rows=bound)
+                permq, lambda: permq.tree_pivot_basis(gens, p, n, depth_rows=bounds)
             ),
             "drained_s": drained_s,
             "bound_s": bound_s,
             "stopped_s": stopped_s,
         })
         c = cases[-1]
-        print(f"{name:4} n={n:2} rows={c['rows']} bound={bound} acts={c['drained_acts']}"
+        print(f"{name:4} n={n:2} rows={c['rows']} bound={c['bound']} acts={c['drained_acts']}"
               f"->{c['stopped_acts']} drained_s={drained_s} bound_s={bound_s} stopped_s={stopped_s}")
     run = {
         "git_rev": benchio.git_rev(args.src),
